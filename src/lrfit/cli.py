@@ -1,7 +1,8 @@
 """Command-line front end: fit, synth, raster, report, roundtrip-check.
 
 Exit codes: 0 converged / success, 2 iteration cap, 3 stagnation stop,
-4 input or usage error.
+4 input or usage error, 5 fit aborted mid-run (``--out`` and ``--report``
+then hold the last surface and the iterations completed before the failure).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .driver import (EXIT_INPUT_ERROR, InputError, RunConfig, StagePredicate,
-                     run)
+from .driver import (EXIT_INPUT_ERROR, EXIT_RUN_ABORTED, InputError, RunAborted,
+                     RunConfig, StagePredicate, run)
 from .fitting import FitError
 from .io import (FormatError, gen_synthetic, read_points, read_surface,
                  sample_raster, write_points, write_report, write_surface,
@@ -35,21 +36,6 @@ class SystemExit_(Exception):
     def __init__(self, code: int, message: str = ""):
         self.code = code
         self.message = message
-
-
-def thread_cap() -> int | None:
-    """Data-parallelism cap from the LRFIT_THREADS environment variable."""
-    raw = os.environ.get("LRFIT_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise SystemExit_(EXIT_INPUT_ERROR,
-                          f"LRFIT_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise SystemExit_(EXIT_INPUT_ERROR, "LRFIT_THREADS must be >= 1")
-    return n
 
 
 def parse_stage(text: str) -> StagePredicate:
@@ -160,7 +146,13 @@ def _cmd_fit(args) -> int:
         min_interval=args.min_interval,
         intermediate=parse_stage(args.intermediate) if args.intermediate else None,
     )
-    surface, ledger = run(cloud, cfg)
+    try:
+        surface, ledger = run(cloud, cfg)
+    except RunAborted as exc:
+        _write_fit_outputs(args, exc.surface, exc.ledger, aborted=str(exc))
+        print(f"error: run aborted after iteration {exc.ledger.rows[-1].iteration}: "
+              f"{exc}", file=sys.stderr)
+        return EXIT_RUN_ABORTED
     last = ledger.rows[-1]
     print(f"iterations={last.iteration} n_out={last.n_out} "
           f"n_coeff={last.n_coeff} max={last.max_dist:.6g} "
@@ -168,18 +160,26 @@ def _cmd_fit(args) -> int:
     if ledger.intermediate_iter is not None:
         print(f"intermediate stage reached at iteration "
               f"{ledger.intermediate_iter} (tail {ledger.tail_length})")
+    _write_fit_outputs(args, surface, ledger)
+    return ledger.exit_code()
+
+
+def _write_fit_outputs(args, surface, ledger, aborted: str | None = None) -> None:
+    """Write the ``--out`` surface and the ``--report`` CSV, if requested."""
     if args.out:
-        write_surface(surface, args.out, provenance={
+        provenance = {
             "strategy": args.strategy,
             "tolerance": args.tolerance,
             "degree": args.degree,
             "max_iter": args.max_iter,
             "min_interval": args.min_interval,
-            "iterations": last.iteration,
-        })
+            "iterations": ledger.rows[-1].iteration,
+        }
+        if aborted is not None:
+            provenance["aborted"] = aborted
+        write_surface(surface, args.out, provenance=provenance)
     if args.report:
         write_report(ledger, args.report)
-    return ledger.exit_code()
 
 
 def _cmd_synth(args) -> int:
@@ -243,7 +243,6 @@ def cli_main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        thread_cap()
         handlers = {"fit": _cmd_fit, "synth": _cmd_synth, "raster": _cmd_raster,
                     "report": _cmd_report, "roundtrip-check": _cmd_roundtrip}
         return handlers[args.command](args)

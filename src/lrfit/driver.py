@@ -27,6 +27,7 @@ EXIT_CONVERGED = 0
 EXIT_ITERATION_CAP = 2
 EXIT_STAGNATION = 3
 EXIT_INPUT_ERROR = 4
+EXIT_RUN_ABORTED = 5
 
 
 class InputError(ValueError):
@@ -172,8 +173,23 @@ def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
     return surface
 
 
+def _check_finite(cloud: PointCloud) -> None:
+    """Reject NaN or infinite coordinates, naming the first bad one."""
+    bad = ~np.isfinite(cloud.xyz)
+    if bad.any():
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        raise InputError(f"non-finite coordinate at point {row} (0-based), "
+                         f"column {'xyz'[col]}: {float(cloud.xyz[row, col])!r}")
+
+
 def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
-    """Run the adaptive loop; returns the final surface and its ledger."""
+    """Run the adaptive loop; returns the final surface and its ledger.
+
+    Raises :class:`InputError` for unusable input and :class:`RunAborted`,
+    carrying the last surface and the ledger so far, when a fit fails after
+    the initial one.
+    """
+    _check_finite(cloud)
     ledger = RunLedger()
     spec = parse_label(cfg.strategy)
     colloc = Collocation(cloud)

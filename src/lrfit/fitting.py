@@ -130,7 +130,7 @@ def lsq_fit(space: LRSpace, cloud: PointCloud, cfg: FitConfig,
     a = colloc.matrix(space)
     u0, u1, v0, v1 = space.domain
     a1, a2 = cfg.resolved_weights(len(cloud), (u1 - u0) * (v1 - v0))
-    col_counts = np.diff(a.tocsc().indptr)
+    col_counts = np.bincount(a.indices, minlength=a.shape[1])
     if a1 == 0.0 and (col_counts == 0).any():
         raise SingularSystemError(
             "B-spline with empty data support and zero smoothing weight")

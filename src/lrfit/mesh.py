@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -66,8 +66,6 @@ class Element:
     iu1: int
     iv0: int
     iv1: int
-    point_ids: Any = None
-    stats: Any = None
 
     def bounds(self, space: "LRSpace") -> tuple[float, float, float, float]:
         return (space.u[self.iu0], space.u[self.iu1],
@@ -94,7 +92,6 @@ class LRSpace:
         self._segs: dict[tuple[str, int], list[tuple[int, int]]] = {}
         # (ku tuple, kv tuple) -> [scale, coeff]
         self.bsplines: dict[tuple[tuple[int, ...], tuple[int, ...]], list[float]] = {}
-        self._version = 0
         self._cache: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -145,7 +142,6 @@ class LRSpace:
         return self.u[list(ku)], self.v[list(kv)]
 
     def _touch(self) -> None:
-        self._version += 1
         self._cache.clear()
 
     # ------------------------------------------------------------------
@@ -273,26 +269,22 @@ class LRSpace:
 
     def find_offense(self, key) -> tuple[str, int] | None:
         """An existing meshline fully traversing ``key``'s support at an
-        interior non-knot value, or None if the B-spline has minimal support."""
+        interior non-knot value, or None if the B-spline has minimal support.
+
+        Returns the lowest such table index, ``u`` before ``v``."""
         ku, kv = key
-        covu = self.coverage(U)
-        covv = self.coverage(V)
-        if ku[-1] - ku[0] > 1:
-            interior = np.arange(ku[0] + 1, ku[-1])
-            cand = interior[~np.isin(interior, ku)]
-            if len(cand):
-                full = covu[cand, kv[0]:kv[-1]].all(axis=1)
-                hit = np.flatnonzero(full)
-                if len(hit):
-                    return (U, int(cand[hit[0]]))
-        if kv[-1] - kv[0] > 1:
-            interior = np.arange(kv[0] + 1, kv[-1])
-            cand = interior[~np.isin(interior, kv)]
-            if len(cand):
-                full = covv[cand, ku[0]:ku[-1]].all(axis=1)
-                hit = np.flatnonzero(full)
-                if len(hit):
-                    return (V, int(cand[hit[0]]))
+        for axis, loc, run in ((U, ku, kv), (V, kv, ku)):
+            lo, hi = loc[0], loc[-1]
+            if hi - lo < 2:
+                continue
+            # full[i]: the line at table index lo + 1 + i spans the support
+            full = self.coverage(axis)[lo + 1:hi, run[0]:run[-1]].all(axis=1)
+            for k in loc[1:-1]:
+                if lo < k < hi:
+                    full[k - lo - 1] = False
+            first = int(full.argmax())
+            if full[first]:
+                return (axis, lo + 1 + first)
         return None
 
     def has_minimal_support(self, key) -> bool:
@@ -456,49 +448,52 @@ def split_knots(space: LRSpace, key, axis: str, ihat: int
 
 class _BatchState:
     """Support-box index over the B-spline set for fast traversal queries,
-    kept in sync during a batch of segment insertions."""
+    kept in sync during a batch of segment insertions.
+
+    Slots are handed out in insertion order and never reused; ``bounds``
+    holds ``(ku[0], ku[-1], kv[0], kv[-1])`` per slot and ``alive`` marks the
+    slots whose B-spline is still in the space.  Both grow geometrically.
+    """
 
     def __init__(self, space: LRSpace):
-        self.space = space
         self.keys: list = list(space.bsplines)
         self.slot: dict = {k: i for i, k in enumerate(self.keys)}
-        ku0 = [k[0][0] for k in self.keys]
-        kuL = [k[0][-1] for k in self.keys]
-        kv0 = [k[1][0] for k in self.keys]
-        kvL = [k[1][-1] for k in self.keys]
-        self.bounds = [ku0, kuL, kv0, kvL]
-        self.alive = [True] * len(self.keys)
+        n = len(self.keys)
+        cap = max(2 * n, 64)
+        self.bounds = np.zeros((4, cap), dtype=np.int64)
+        self.bounds[:, :n] = np.array(
+            [(ku[0], ku[-1], kv[0], kv[-1]) for ku, kv in self.keys],
+            dtype=np.int64).reshape(n, 4).T
+        self.alive = np.zeros(cap, dtype=bool)
+        self.alive[:n] = True
 
     def add(self, key) -> None:
-        self.slot[key] = len(self.keys)
+        n = len(self.keys)
+        if n == self.alive.shape[0]:
+            self.bounds = np.concatenate([self.bounds, np.zeros_like(self.bounds)], axis=1)
+            self.alive = np.concatenate([self.alive, np.zeros_like(self.alive)])
+        ku, kv = key
+        self.bounds[:, n] = (ku[0], ku[-1], kv[0], kv[-1])
+        self.alive[n] = True
+        self.slot[key] = n
         self.keys.append(key)
-        self.bounds[0].append(key[0][0])
-        self.bounds[1].append(key[0][-1])
-        self.bounds[2].append(key[1][0])
-        self.bounds[3].append(key[1][-1])
-        self.alive.append(True)
 
     def kill(self, key) -> None:
         self.alive[self.slot[key]] = False
 
     def traversed(self, axis: str, fixed: int, lo: int, hi: int) -> list:
-        """Alive B-splines for which the segment is a legal interior knotline."""
-        ku0 = np.asarray(self.bounds[0])
-        kuL = np.asarray(self.bounds[1])
-        kv0 = np.asarray(self.bounds[2])
-        kvL = np.asarray(self.bounds[3])
-        alive = np.asarray(self.alive)
+        """Alive B-splines for which the segment is a legal interior knotline,
+        in slot order."""
+        n = len(self.keys)
+        ku0, kuL, kv0, kvL = self.bounds[:, :n]
         if axis == U:
-            mask = alive & (ku0 < fixed) & (fixed < kuL) & (kv0 >= lo) & (kvL <= hi)
+            mask = (ku0 < fixed) & (fixed < kuL) & (kv0 >= lo) & (kvL <= hi)
         else:
-            mask = alive & (kv0 < fixed) & (fixed < kvL) & (ku0 >= lo) & (kuL <= hi)
-        out = []
+            mask = (kv0 < fixed) & (fixed < kvL) & (ku0 >= lo) & (kuL <= hi)
+        mask &= self.alive[:n]
         loc_idx = 0 if axis == U else 1
-        for i in np.flatnonzero(mask):
-            key = self.keys[i]
-            if fixed not in key[loc_idx]:
-                out.append(key)
-        return out
+        return [key for key in map(self.keys.__getitem__, np.flatnonzero(mask))
+                if fixed not in key[loc_idx]]
 
 
 def _validate_knot_vector(knots, degree: int, name: str) -> np.ndarray:

@@ -210,14 +210,18 @@ class Collocation:
 
     Rows store the raw product ``R(x) R(y)`` keyed by local knot *values*, so
     they survive both knot-table remaps and scaling-factor updates; only
-    B-splines new to the space need evaluation after a refinement.
+    B-splines new to the space need evaluation after a refinement.  Each row
+    is one column of the collocation matrix.  The matrix built after an
+    :meth:`update` is kept for the :meth:`predict` that follows the fit.
     """
 
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud
         self._rows: dict = {}
+        self._matrix = None
 
     def update(self, space: LRSpace, assignment: Assignment) -> None:
+        self._matrix = None
         keys = space.keys_sorted()
         _, b2e = space.overlap_maps()
         p1, p2 = space.degrees
@@ -248,25 +252,27 @@ class Collocation:
             self._order[bi] = vk
 
     def matrix(self, space: LRSpace):
-        """Sparse collocation matrix ``A[k, i] = s_i R_i(x_k, y_k)``."""
+        """Sparse collocation matrix ``A[k, i] = s_i R_i(x_k, y_k)`` in CSR
+        form, assembled column by column from the cached rows."""
         from scipy import sparse
 
         scales = space.scale_array()
-        rows, cols, vals = [], [], []
-        for bi, vk in enumerate(self._order):
-            ids, w = self._rows[vk]
-            rows.append(ids)
-            cols.append(np.full(len(ids), bi, dtype=np.int64))
-            vals.append(scales[bi] * w)
         n = len(self._order)
         k = len(self.cloud)
-        if rows:
-            a = sparse.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(k, n))
+        cols = [self._rows[vk] for vk in self._order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(ids) for ids, _ in cols], out=indptr[1:])
+        if n:
+            indices = np.concatenate([ids for ids, _ in cols])
+            data = np.concatenate([s * w for s, (_, w) in zip(scales, cols)])
         else:
-            a = sparse.coo_matrix((k, n))
-        return a.tocsr()
+            indices, data = np.empty(0, dtype=np.int64), np.empty(0)
+        self._matrix = sparse.csc_matrix((data, indices, indptr), shape=(k, n)).tocsr()
+        return self._matrix
 
     def predict(self, space: LRSpace) -> np.ndarray:
-        return self.matrix(space) @ space.coeff_array()
+        """Surface heights at the cloud points: the matrix built since the
+        last :meth:`update` times the coefficients.  Releases that matrix."""
+        a = self._matrix if self._matrix is not None else self.matrix(space)
+        self._matrix = None
+        return a @ space.coeff_array()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -127,6 +129,21 @@ def element_boxes_oracle(space: LRSpace) -> set:
             "non-rectangular cell group"
         boxes.add(box)
     return boxes
+
+
+ALL_DEGREES = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)]
+
+
+@pytest.fixture(scope="session")
+def corpus50():
+    """50 randomly refined meshes, >= 30 insertions each, all degrees, and
+    the time their construction took."""
+    meshes = []
+    t0 = time.perf_counter()
+    for i in range(50):
+        degrees = ALL_DEGREES[i % len(ALL_DEGREES)]
+        meshes.append(random_refined_space(2000 + i, degrees, n_insertions=30))
+    return meshes, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from lrfit.io import gen_synthetic, write_surface
 from lrfit.mesh import U, V, make_tensor_mesh
 from lrfit.surface import LRSurface, PointCloud
 
-from conftest import (random_refined_space, random_refinement_step,
+from conftest import (ALL_DEGREES, random_refined_space, random_refinement_step,
                       tensor_eval_oracle, uniform_tensor_space)
 
 CRITERIA = {
@@ -34,8 +34,6 @@ CRITERIA = {
     12: "benchmark rerun reproduces ledgers and surfaces bit-for-bit",
 }
 
-ALL_DEGREES = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)]
-
 
 def pou_residual(space, n_pts, rng):
     uu = rng.uniform(space.u[0], space.u[-1], n_pts)
@@ -46,17 +44,6 @@ def pou_residual(space, n_pts, rng):
         tot += (s * basis_value(tu, space.degrees[0], uu, space.u[-1])
                 * basis_value(tv, space.degrees[1], vv, space.v[-1]))
     return np.abs(tot - 1.0).max()
-
-
-@pytest.fixture(scope="module")
-def corpus50():
-    """50 randomly refined meshes, >= 30 insertions each, all degrees."""
-    meshes = []
-    t0 = time.perf_counter()
-    for i in range(50):
-        degrees = ALL_DEGREES[i % len(ALL_DEGREES)]
-        meshes.append(random_refined_space(2000 + i, degrees, n_insertions=30))
-    return meshes, time.perf_counter() - t0
 
 
 def test_criterion_01_partition_of_unity(corpus50):

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,49 @@ class TestFit:
         assert "intermediate stage" in capsys.readouterr().out
 
 
+class TestFailureExits:
+    def test_non_finite_coordinate_exit(self, tmp_path, capsys):
+        from lrfit.io import gen_synthetic, write_points
+        from lrfit.surface import PointCloud
+
+        xyz = gen_synthetic("dunes", 1, 5000).xyz.copy()
+        xyz[1234, 2] = np.nan
+        path = str(tmp_path / "nan.xyz")
+        write_points(PointCloud(xyz), path)
+        assert cli_main(["fit", "--points", path, "--tolerance", "0.5"]) == 4
+        assert "point 1234 (0-based), column z" in capsys.readouterr().err
+
+    def test_fit_failure_mid_run_keeps_partial_outputs(self, cloud_file, tmp_path,
+                                                       monkeypatch, capsys):
+        import lrfit.driver
+        from lrfit.fitting import FitError
+
+        fit_step = lrfit.driver.fit_step
+
+        def failing(space, cloud, cfg, iteration, *args):
+            if iteration == 2:
+                raise FitError("conjugate gradient did not converge (info=7)")
+            return fit_step(space, cloud, cfg, iteration, *args)
+
+        monkeypatch.setattr(lrfit.driver, "fit_step", failing)
+        surf_path = tmp_path / "s.lrb"
+        csv_path = tmp_path / "run.csv"
+        code = cli_main(["fit", "--points", cloud_file, "--strategy", "eFB",
+                         "--tolerance", "0.05", "--out", str(surf_path),
+                         "--report", str(csv_path)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "aborted after iteration 1" in err and "info=7" in err
+        iters = [line.split(",")[0] for line in csv_path.read_text().splitlines()]
+        assert iters == ["iter", "0", "1"]
+        doc = json.loads(surf_path.read_text())
+        assert doc["provenance"]["aborted"].endswith("(info=7)")
+        assert doc["provenance"]["iterations"] == 1
+        # the partial surface is the refined space of iteration 2, fit 1
+        surf = read_surface(str(surf_path))
+        assert len(surf.space) > int(csv_path.read_text().splitlines()[-1].split(",")[2])
+
+
 class TestStageParsing:
     def test_and_clauses(self):
         stage = parse_stage("out<=0.1%,max<=2")
@@ -100,16 +145,3 @@ class TestPipelines:
         flags = [int(line.split()[-1]) for line in open(truth)
                  if not line.startswith("#")]
         assert sum(flags) == 10
-
-
-class TestThreadCap:
-    def test_env_var_validation(self, monkeypatch, cloud_file):
-        monkeypatch.setenv("LRFIT_THREADS", "not-a-number")
-        assert cli_main(["report", "--surface", "x", "--points", cloud_file,
-                         "--tolerance", "1"]) == 4
-        monkeypatch.setenv("LRFIT_THREADS", "0")
-        assert cli_main(["report", "--surface", "x", "--points", cloud_file,
-                         "--tolerance", "1"]) == 4
-        monkeypatch.setenv("LRFIT_THREADS", "2")
-        from lrfit.cli import thread_cap
-        assert thread_cap() == 2

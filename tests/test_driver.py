@@ -77,6 +77,30 @@ class TestInitialSurface:
         assert nu == 8 and nv == 2
 
 
+class TestNonFiniteInput:
+    """One bad coordinate in a 5000-point dunes cloud is named before any fit
+    runs (a NaN z used to end in a conjugate-gradient failure, an inf x in a
+    knot-multiplicity error)."""
+
+    @pytest.mark.parametrize("row, col, value, name", [
+        (1234, 2, np.nan, "z"), (77, 0, np.inf, "x")])
+    def test_rejected_with_position(self, row, col, value, name):
+        from lrfit.io import gen_synthetic
+
+        xyz = gen_synthetic("dunes", 1, 5000).xyz.copy()
+        xyz[row, col] = value
+        with pytest.raises(InputError, match=rf"point {row} \(0-based\), column {name}"):
+            run(PointCloud(xyz), RunConfig(tolerance=0.5))
+
+    def test_first_bad_coordinate_is_named(self):
+        xyz = plane_cloud(n=100).xyz.copy()
+        xyz[40, 1] = -np.inf
+        xyz[40, 2] = np.nan
+        xyz[90, 0] = np.nan
+        with pytest.raises(InputError, match=r"point 40 \(0-based\), column y: -inf"):
+            run(PointCloud(xyz), RunConfig(tolerance=0.5))
+
+
 class TestRun:
     def test_representable_cloud_converges_at_zero(self):
         cloud = plane_cloud()

@@ -158,3 +158,74 @@ class TestFitStep:
         ca = lsq_fit(space_a, PointCloud(np.c_[x, y, z]), TIGHT)
         cb = lsq_fit(space_b, PointCloud(np.c_[x, y, z + 5.0]), TIGHT)
         assert np.abs((cb - ca) - 5.0).max() < 1e-7
+
+
+def coo_collocation_matrix(colloc, space):
+    """The collocation matrix assembled from COO triplets, column by column
+    from the cached rows: the plain construction the compressed assembly
+    must reproduce entry for entry and in the same storage order."""
+    from scipy import sparse
+
+    scales = space.scale_array()
+    rows, cols, vals = [], [], []
+    for bi, vk in enumerate(colloc._order):
+        ids, w = colloc._rows[vk]
+        rows.append(ids)
+        cols.append(np.full(len(ids), bi, dtype=np.int64))
+        vals.append(scales[bi] * w)
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(colloc.cloud), len(colloc._order))).tocsr()
+
+
+class TestOneMatrixPerFit:
+    @pytest.mark.parametrize("iteration", [0, 2])   # LSQ, then MBA
+    def test_predict_reuses_the_fit_matrix(self, monkeypatch, iteration):
+        space = random_refined_space(71, (2, 2), n_insertions=10)
+        rng = np.random.default_rng(71)
+        n = 3000
+        x = rng.uniform(0, 1, n)
+        y = rng.uniform(0, 1, n)
+        cloud = PointCloud(np.c_[x, y, np.sin(5 * x) * np.cos(3 * y)])
+        colloc = Collocation(cloud)
+        build = Collocation.matrix
+        builds = []
+
+        def counted(self, sp):
+            builds.append(sp)
+            return build(self, sp)
+
+        monkeypatch.setattr(Collocation, "matrix", counted)
+        asn = assign_points(LRSurface(space), cloud)
+        fit_step(space, cloud, FitConfig(), 0, colloc, asn)
+        colloc.predict(space)
+        builds.clear()
+        fit_step(space, cloud, FitConfig(), iteration, colloc, asn)
+        pred = colloc.predict(space)
+        assert len(builds) == 1
+        # the matrix is released: a second predict builds a fresh one
+        assert np.array_equal(colloc.predict(space), pred)
+        assert len(builds) == 2
+        a = build(colloc, space)
+        assert np.array_equal(pred, a @ space.coeff_array())
+        ref = coo_collocation_matrix(colloc, space)
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert np.array_equal(a.indices, ref.indices)
+        assert np.array_equal(a.data, ref.data)
+
+    def test_run_builds_one_matrix_per_fit(self, monkeypatch):
+        from lrfit.driver import RunConfig, run
+
+        build = Collocation.matrix
+        builds = []
+        monkeypatch.setattr(Collocation, "matrix",
+                            lambda self, sp: builds.append(1) or build(self, sp))
+        rng = np.random.default_rng(72)
+        n = 4000
+        x = rng.uniform(0, 10, n)
+        y = rng.uniform(0, 10, n)
+        cloud = PointCloud(np.c_[x, y, np.sin(1.5 * x) * np.cos(1.2 * y)])
+        _surface, ledger = run(cloud, RunConfig(strategy="eFB", tolerance=0.05,
+                                                max_iterations=4))
+        assert len(ledger.rows) >= 3
+        assert len(builds) == len(ledger.rows)

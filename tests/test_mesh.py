@@ -9,7 +9,7 @@ from lrfit.basis import basis_value
 from lrfit.mesh import (LRSpace, MeshError, MeshSegment, SegmentError, U, V,
                         make_tensor_mesh, split_knots)
 
-from conftest import (element_boxes_oracle, random_refined_space,
+from conftest import (ALL_DEGREES, element_boxes_oracle, random_refined_space,
                       uniform_tensor_space)
 
 
@@ -212,3 +212,134 @@ def test_overlap_maps_consistent():
         for bi in e2b[e]:
             su0, su1, sv0, sv1 = sp.support_values(keys[bi])
             assert su0 <= u0 and su1 >= u1 and sv0 <= v0 and sv1 >= v1
+
+
+# ----------------------------------------------------------------------
+# differential checks of the refinement bookkeeping against plain scans
+
+def find_offense_oracle(space, key):
+    """The candidate-list formulation: every interior table index that is not
+    a local knot, tested with ``np.isin``; lowest index, ``u`` before ``v``."""
+    ku, kv = key
+    covu = space.coverage(U)
+    covv = space.coverage(V)
+    if ku[-1] - ku[0] > 1:
+        interior = np.arange(ku[0] + 1, ku[-1])
+        cand = interior[~np.isin(interior, ku)]
+        if len(cand):
+            hit = np.flatnonzero(covu[cand, kv[0]:kv[-1]].all(axis=1))
+            if len(hit):
+                return (U, int(cand[hit[0]]))
+    if kv[-1] - kv[0] > 1:
+        interior = np.arange(kv[0] + 1, kv[-1])
+        cand = interior[~np.isin(interior, kv)]
+        if len(cand):
+            hit = np.flatnonzero(covv[cand, ku[0]:ku[-1]].all(axis=1))
+            if len(hit):
+                return (V, int(cand[hit[0]]))
+    return None
+
+
+def random_keys(space, rng, n):
+    """Local knot index vectors drawn with replacement from narrow windows of
+    the tables, so repeated indices (as at the boundary) occur often."""
+    p1, p2 = space.degrees
+    keys = []
+    while len(keys) < n:
+        parts = []
+        for table, p in ((space.u, p1), (space.v, p2)):
+            width = int(rng.integers(2, 2 * p + 6))
+            start = int(rng.integers(0, max(len(table) - width, 1)))
+            idx = np.sort(rng.integers(start, min(start + width, len(table)), p + 2))
+            if rng.random() < 0.3:    # clamp one end, as boundary B-splines do
+                idx[:int(rng.integers(1, p + 2))] = 0
+            parts.append(tuple(int(i) for i in np.sort(idx)))
+        if parts[0][-1] > parts[0][0] and parts[1][-1] > parts[1][0]:
+            keys.append(tuple(parts))
+    return keys
+
+
+class TestFindOffenseDifferential:
+    def test_corpus50_every_bspline_and_random_keys(self, corpus50):
+        meshes, _ = corpus50
+        rng = np.random.default_rng(5)
+        for sp in meshes:
+            boundary = 0
+            for key in sp.bsplines:
+                assert sp.find_offense(key) is None
+                assert find_offense_oracle(sp, key) is None
+                boundary += key[0][0] == key[0][1] or key[1][-1] == key[1][-2]
+            assert boundary > 0
+            for key in random_keys(sp, rng, 40):
+                assert sp.find_offense(key) == find_offense_oracle(sp, key), key
+
+    def test_mid_refinement(self, monkeypatch):
+        """Corpus meshes rebuilt with every ``find_offense`` call of the
+        split cascade compared against the oracle on the mesh of the moment."""
+        fast = LRSpace.find_offense
+        calls = {"all": 0, "offending": 0}
+
+        def checked(self, key):
+            got = fast(self, key)
+            assert got == find_offense_oracle(self, key), key
+            calls["all"] += 1
+            calls["offending"] += got is not None
+            return got
+
+        monkeypatch.setattr(LRSpace, "find_offense", checked)
+        for i in range(12):
+            random_refined_space(2000 + i, ALL_DEGREES[i % 6], n_insertions=30)
+        assert calls["offending"] > 100, calls
+
+    def test_boundary_keys_with_offending_lines(self):
+        # every interior line of a tensor mesh spans the whole domain, so a
+        # support that skips them as knots is offended by them
+        sp = uniform_tensor_space((3, 3), n_elems=6)
+        cases = {((0, 0, 0, 2, 4), (0, 0, 0, 0, 3)): (U, 1),
+                 ((0, 0, 0, 0, 6), (2, 3, 5, 6, 6)): (U, 1),
+                 ((0, 0, 0, 0, 1), (2, 3, 5, 6, 6)): (V, 4),
+                 ((5, 6, 6, 6, 6), (0, 1, 2, 3, 4)): None}
+        for key, expected in cases.items():
+            assert sp.find_offense(key) == expected
+            assert find_offense_oracle(sp, key) == expected
+
+
+class TestTraversalIndex:
+    def test_matches_bruteforce_scan_in_insertion_order(self, monkeypatch):
+        """Every traversal query of a refinement batch returns exactly the
+        keys a scan over ``space.bsplines`` finds, in the same order."""
+        import lrfit.mesh as mesh
+
+        init, traversed = mesh._BatchState.__init__, mesh._BatchState.traversed
+        queries = {"n": 0, "hits": 0}
+
+        def recording_init(self, space):
+            init(self, space)
+            self.checked_space = space
+
+        def checked(self, axis, fixed, lo, hi):
+            got = traversed(self, axis, fixed, lo, hi)
+            li = 0 if axis == U else 1
+            expected = [key for key in self.checked_space.bsplines
+                        if key[li][0] < fixed < key[li][-1]
+                        and key[1 - li][0] >= lo and key[1 - li][-1] <= hi
+                        and fixed not in key[li]]
+            assert got == expected
+            queries["n"] += 1
+            queries["hits"] += len(got)
+            return got
+
+        monkeypatch.setattr(mesh._BatchState, "__init__", recording_init)
+        monkeypatch.setattr(mesh._BatchState, "traversed", checked)
+        for i in range(12):
+            random_refined_space(4000 + i, ALL_DEGREES[i % 6], n_insertions=25)
+        # a multi-segment batch, as the adaptive loop applies them
+        sp = uniform_tensor_space((2, 2), n_elems=8)
+        sp.ensure_values(U, [0.0625 + k / 8 for k in range(8)])
+        sp.ensure_values(V, [0.0625 + k / 8 for k in range(8)])
+        segs = [MeshSegment(U, 2 * k + 1, 0, len(sp.v) - 1) for k in range(8)]
+        segs += [MeshSegment(V, 2 * k + 1, 0, len(sp.u) - 1) for k in range(8)]
+        n_before = len(sp)
+        assert sp.try_apply_segments(segs) == (16, 0)
+        assert len(sp) > 2 * n_before     # the slot arrays had to grow
+        assert queries["n"] > 300 and queries["hits"] > 1000, queries
