@@ -44,18 +44,36 @@ def basis_value(knots, degree: int, x, right_closed_at: float | None = None) -> 
 
 def basis_deriv(knots, degree: int, x, order: int,
                 right_closed_at: float | None = None) -> np.ndarray:
-    """``order``-th derivative of the B-spline with local knots ``knots``."""
-    if order == 0:
-        return basis_value(knots, degree, x, right_closed_at)
+    """``order``-th derivative of the B-spline with local knots ``knots``.
+
+    One Cox–de Boor triangle runs up to degree ``q = degree - order``; the
+    ``order`` levels above it apply the derivative recurrence (de Boor, *A
+    Practical Guide to Splines*, ch. X) to the degree-``q`` B-splines
+    instead: ``B'_{j,d} = d / (t[j+d] - t[j]) B_{j,d-1}
+    - d / (t[j+d+1] - t[j+1]) B_{j+1,d-1}``.
+    """
     t = np.asarray(knots, dtype=float)
+    x = np.asarray(x, dtype=float)
     p = degree
-    if p == 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    den = t[p] - t[0]
-    if den > 0.0:
-        out = out + (p / den) * basis_deriv(t[:-1], p - 1, x, order - 1, right_closed_at)
-    den = t[p + 1] - t[1]
-    if den > 0.0:
-        out = out - (p / den) * basis_deriv(t[1:], p - 1, x, order - 1, right_closed_at)
-    return out
+    if t.shape[0] != p + 2:
+        raise ValueError(f"expected {p + 2} local knots, got {t.shape[0]}")
+    if order > p:
+        return np.zeros_like(x)
+    levels = []
+    for j in range(p + 1):
+        ind = (x >= t[j]) & (x < t[j + 1])
+        if right_closed_at is not None and t[j] < t[j + 1] and t[j + 1] >= right_closed_at:
+            ind = ind | (x == t[j + 1])
+        levels.append(ind.astype(float))
+    for d in range(1, p + 1):
+        value_step = d <= p - order
+        for j in range(p + 1 - d):
+            acc = np.zeros_like(x)
+            den = t[j + d] - t[j]
+            if den > 0.0:
+                acc += ((x - t[j]) if value_step else d) / den * levels[j]
+            den = t[j + d + 1] - t[j + 1]
+            if den > 0.0:
+                acc += ((t[j + d + 1] - x) if value_step else -d) / den * levels[j + 1]
+            levels[j] = acc
+    return levels[0]

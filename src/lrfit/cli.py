@@ -1,8 +1,9 @@
 """Command-line front end: fit, synth, raster, report, roundtrip-check.
 
 Exit codes: 0 converged / success, 2 iteration cap, 3 stagnation stop,
-4 input or usage error, 5 fit aborted mid-run (``--out`` and ``--report``
-then hold the last surface and the iterations completed before the failure).
+4 input or usage error, 5 fit aborted (``--out`` and ``--report`` then hold
+the last surface and the iterations completed before the failure: the
+unfitted start surface and no rows when the initial fit fails).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .io import (FormatError, gen_synthetic, read_points, read_surface,
                  sample_raster, write_points, write_report, write_surface,
                  write_truth_sidecar)
 from .mesh import MeshError
-from .strategy import GRAMMAR, LabelError
+from .strategy import LabelError
 from .surface import DomainError
 
 
@@ -150,8 +151,9 @@ def _cmd_fit(args) -> int:
         surface, ledger = run(cloud, cfg)
     except RunAborted as exc:
         _write_fit_outputs(args, exc.surface, exc.ledger, aborted=str(exc))
-        print(f"error: run aborted after iteration {exc.ledger.rows[-1].iteration}: "
-              f"{exc}", file=sys.stderr)
+        rows = exc.ledger.rows
+        where = f"after iteration {rows[-1].iteration}" if rows else "in the initial fit"
+        print(f"error: run aborted {where}: {exc}", file=sys.stderr)
         return EXIT_RUN_ABORTED
     last = ledger.rows[-1]
     print(f"iterations={last.iteration} n_out={last.n_out} "
@@ -173,7 +175,7 @@ def _write_fit_outputs(args, surface, ledger, aborted: str | None = None) -> Non
             "degree": args.degree,
             "max_iter": args.max_iter,
             "min_interval": args.min_interval,
-            "iterations": ledger.rows[-1].iteration,
+            "iterations": ledger.rows[-1].iteration if ledger.rows else None,
         }
         if aborted is not None:
             provenance["aborted"] = aborted

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import FitConfig, FitError, fit_step
-from .mesh import SUPPORTED_DEGREES, LRSpace, MeshError, U, V, make_tensor_mesh
-from .strategy import (RefinementPlan, StrategySpec, ThresholdState, build_plan,
-                       directions_for, parse_label, plan_to_segments,
-                       should_switch)
+from .mesh import SUPPORTED_DEGREES, LRSpace, make_tensor_mesh
+from .strategy import (ThresholdState, build_plan, directions_for, parse_label,
+                       plan_to_segments, should_switch)
 from .surface import (AccuracyLedger, Collocation, LRSurface, PointCloud,
                       approximation_efficiency, assign_points, compute_accuracy)
 
@@ -35,7 +34,8 @@ class InputError(ValueError):
 
 
 class RunAborted(RuntimeError):
-    """A fit failed mid-run; the partial surface and ledger are attached."""
+    """A fit failed; the last surface and the ledger so far are attached
+    (the unfitted start surface and an empty ledger for the initial fit)."""
 
     def __init__(self, msg: str, surface: "LRSurface", ledger: "RunLedger"):
         super().__init__(msg)
@@ -100,7 +100,6 @@ class RunLedger:
     stopped_no_segments: bool = False
     intermediate_iter: int | None = None
     tail_length: int | None = None
-    error: str | None = None
 
     def exit_code(self) -> int:
         if self.converged:
@@ -154,7 +153,8 @@ def initial_elements_for(cloud: PointCloud, cfg: RunConfig) -> tuple[int, int]:
 def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
                          colloc: Collocation | None = None) -> LRSurface:
     """Coarse tensor-product surface over the cloud's bounding box, fitted
-    with one penalized least-squares solve."""
+    with one penalized least-squares solve.  A failed fit raises
+    :class:`RunAborted` with the unfitted surface and an empty ledger."""
     if len(cloud) < 3:
         raise InputError("point cloud needs at least 3 points")
     u0, u1 = float(cloud.x.min()), float(cloud.x.max())
@@ -169,7 +169,10 @@ def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
     space = make_tensor_mesh(ku, kv, cfg.degrees)
     surface = LRSurface(space)
     assignment = assign_points(surface, cloud)
-    fit_step(space, cloud, cfg.fit, 0, colloc, assignment)
+    try:
+        fit_step(space, cloud, cfg.fit, 0, colloc, assignment)
+    except FitError as exc:
+        raise RunAborted(str(exc), surface, RunLedger()) from exc
     return surface
 
 
@@ -186,8 +189,7 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
     """Run the adaptive loop; returns the final surface and its ledger.
 
     Raises :class:`InputError` for unusable input and :class:`RunAborted`,
-    carrying the last surface and the ledger so far, when a fit fails after
-    the initial one.
+    carrying the last surface and the ledger so far, when a fit fails.
     """
     _check_finite(cloud)
     ledger = RunLedger()
@@ -231,7 +233,6 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
         try:
             fit_step(space, cloud, cfg.fit, iteration, colloc, assignment)
         except FitError as exc:
-            ledger.error = str(exc)
             raise RunAborted(str(exc), surface, ledger) from exc
         acc = compute_accuracy(surface, cloud, assignment, cfg.tolerance,
                                z_pred=colloc.predict(space))

@@ -4,7 +4,7 @@ Penalized least squares solves the sparse normal equations of
 
     min_P  alpha_smooth * E(F) + alpha_ls * sum_k (F(x_k, y_k) - z_k)^2
 
-where ``E`` is the thin-plate energy assembled by Gauss-Legendre quadrature,
+where ``E`` is the thin-plate energy integrated by Gauss-Legendre quadrature,
 and the multilevel B-spline approximation (MBA) update folds a pseudo-inverse
 residual correction into the coefficients of the existing surface.
 """
@@ -19,7 +19,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .basis import basis_deriv, basis_value
 from .mesh import LRSpace
-from .surface import Assignment, Collocation, LRSurface, PointCloud, assign_points
+from .surface import (Assignment, Collocation, LRSurface, PointCloud, _column_matrix,
+                      assign_points)
 
 
 class FitError(RuntimeError):
@@ -52,82 +53,70 @@ class FitConfig:
         return a1, a2
 
 
-def _gauss_on(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def smoothing_matrix(space: LRSpace) -> sparse.csr_matrix:
     """Thin-plate energy matrix of the scaled basis,
     ``M_ij = integral (f_uu g_uu + 2 f_uv g_uv + f_vv g_vv)``,
-    assembled element-wise with ``p + 1`` Gauss points per direction.
+    with ``p + 1`` Gauss points per direction on every element.
 
-    The twist term enters only when both degrees carry curvature (>= 2);
-    for (bi)linear directions the penalty reduces to the pure second
-    derivatives, making the matrix identically zero at degree (1, 1) so
-    smoothing is inert there.
+    With ``W`` the quadrature weights of all elements' points and ``D_uu``,
+    ``D_uv``, ``D_vv`` holding one column per B-spline, its scaled
+    derivatives at the points of the elements in its support,
+    ``M = D_uu^T W D_uu + w_twist D_uv^T W D_uv + D_vv^T W D_vv``.
+
+    The twist term (``w_twist = 2``) enters only when both degrees carry
+    curvature (>= 2); for (bi)linear directions the penalty reduces to the
+    pure second derivatives, making the matrix identically zero at degree
+    (1, 1) so smoothing is inert there.
     """
     p1, p2 = space.degrees
     w_twist = 2.0 if min(p1, p2) >= 2 else 0.0
-    keys = space.keys_sorted()
-    scales = space.scale_array()
-    e2b, _ = space.overlap_maps()
-    u_max = float(space.u[-1])
-    v_max = float(space.v[-1])
-    n = len(keys)
-    ii, jj, vv = [], [], []
-    for e, el in enumerate(space.elements()):
-        bids = e2b[e]
-        if not bids:
-            continue
-        u0, u1, v0, v1 = el.bounds(space)
-        gu, wu = _gauss_on(u0, u1, p1 + 1)
-        gv, wv = _gauss_on(v0, v1, p2 + 1)
-        wg = np.outer(wu, wv).ravel()
-        uu = np.repeat(gu, len(gv))
-        vvq = np.tile(gv, len(gu))
-        rows = {0: [], 1: [], 2: []}  # orders of the u-derivative in (uu, uv, vv)
-        for bi in bids:
-            tu, tv = space.local_knot_values(keys[bi])
-            s = scales[bi]
-            bu0 = basis_value(tu, p1, uu, u_max)
-            bu1 = basis_deriv(tu, p1, uu, 1, u_max)
-            bu2 = basis_deriv(tu, p1, uu, 2, u_max)
-            bv0 = basis_value(tv, p2, vvq, v_max)
-            bv1 = basis_deriv(tv, p2, vvq, 1, v_max)
-            bv2 = basis_deriv(tv, p2, vvq, 2, v_max)
-            rows[0].append(s * bu2 * bv0)
-            rows[1].append(s * bu1 * bv1)
-            rows[2].append(s * bu0 * bv2)
-        duu = np.array(rows[0])
-        duv = np.array(rows[1])
-        dvv = np.array(rows[2])
-        wloc = (duu * wg) @ duu.T + w_twist * (duv * wg) @ duv.T + (dvv * wg) @ dvv.T
-        bids_arr = np.asarray(bids)
-        ii.append(np.repeat(bids_arr, len(bids)))
-        jj.append(np.tile(bids_arr, len(bids)))
-        vv.append(wloc.ravel())
-    if not ii:
-        return sparse.csr_matrix((n, n))
-    m = sparse.coo_matrix(
-        (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))),
-        shape=(n, n)).tocsr()
+    u0, u1, v0, v1 = np.array([el.bounds(space) for el in space.elements()]).T
+    xu, wu = np.polynomial.legendre.leggauss(p1 + 1)
+    xv, wv = np.polynomial.legendre.leggauss(p2 + 1)
+    half_u, half_v = 0.5 * (u1 - u0), 0.5 * (v1 - v0)
+    gu = 0.5 * (u0 + u1)[:, None] + half_u[:, None] * xu
+    gv = 0.5 * (v0 + v1)[:, None] + half_v[:, None] * xv
+    # point (e, a, b) sits at Gauss node a in u and node b in v of element e
+    shape = (len(u0), p1 + 1, p2 + 1)
+    uq = np.broadcast_to(gu[:, :, None], shape).ravel()
+    vq = np.broadcast_to(gv[:, None, :], shape).ravel()
+    wq = ((half_u[:, None] * wu)[:, :, None] * (half_v[:, None] * wv)[:, None, :]).ravel()
+    nq, n_pts = (p1 + 1) * (p2 + 1), len(wq)
+    _, b2e = space.overlap_maps()
+    cols = []
+    for bi, key in enumerate(space.keys_sorted()):
+        tu, tv = space.local_knot_values(key)
+        ids = (b2e[bi][:, None] * nq + np.arange(nq)).ravel()
+        u, v = uq[ids], vq[ids]
+        bu = [basis_value(tu, p1, u), basis_deriv(tu, p1, u, 1), basis_deriv(tu, p1, u, 2)]
+        bv = [basis_value(tv, p2, v), basis_deriv(tv, p2, v, 1), basis_deriv(tv, p2, v, 2)]
+        # rows of D_uu, D_uv and D_vv stacked in one column
+        cols.append((np.concatenate([ids, ids + n_pts, ids + 2 * n_pts]),
+                     np.concatenate([bu[2] * bv[0], bu[1] * bv[1], bu[0] * bv[2]])))
+    d = _column_matrix(cols, space.scale_array(), 3 * n_pts)
+    w = sparse.diags(np.concatenate([wq, w_twist * wq, wq]))
+    m = (d.T @ (w @ d)).tocsr()
     # exact symmetry despite summation order
     return (m + m.T) * 0.5
+
+
+def _collocation_matrix(space: LRSpace, cloud: PointCloud, colloc: Collocation | None,
+                        assignment: Assignment | None):
+    """Collocation matrix at the cloud points, through a new cache and
+    assignment when none is given."""
+    if assignment is None:
+        assignment = assign_points(LRSurface(space), cloud)
+    if colloc is None:
+        colloc = Collocation(cloud)
+    colloc.update(space, assignment)
+    return colloc.matrix(space)
 
 
 def lsq_fit(space: LRSpace, cloud: PointCloud, cfg: FitConfig,
             colloc: Collocation | None = None,
             assignment: Assignment | None = None) -> np.ndarray:
     """Penalized least-squares coefficients over the current spline space."""
-    surface = LRSurface(space)
-    if assignment is None:
-        assignment = assign_points(surface, cloud)
-    if colloc is None:
-        colloc = Collocation(cloud)
-    colloc.update(space, assignment)
-    a = colloc.matrix(space)
+    a = _collocation_matrix(space, cloud, colloc, assignment)
     u0, u1, v0, v1 = space.domain
     a1, a2 = cfg.resolved_weights(len(cloud), (u1 - u0) * (v1 - v0))
     col_counts = np.bincount(a.indices, minlength=a.shape[1])
@@ -164,13 +153,7 @@ def mba_update(space: LRSpace, cloud: PointCloud,
     ``phi_ic = w_ic r_c / sum_j w_jc^2`` and
     ``dP_i = sum_c w_ic^2 phi_ic / sum_c w_ic^2``.
     """
-    surface = LRSurface(space)
-    if assignment is None:
-        assignment = assign_points(surface, cloud)
-    if colloc is None:
-        colloc = Collocation(cloud)
-    colloc.update(space, assignment)
-    a = colloc.matrix(space)
+    a = _collocation_matrix(space, cloud, colloc, assignment)
     p = space.coeff_array()
     r = cloud.z - a @ p
     a2 = a.multiply(a)

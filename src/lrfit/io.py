@@ -137,7 +137,29 @@ def read_surface(path: str) -> LRSurface:
             raise FormatError(f"{path}: duplicate B-spline {entry!r}")
         space.bsplines[key] = [float(scale), float(coeff)]
     space._touch()
+    _check_lr_space(space, path)
     return LRSurface(space)
+
+
+def _check_lr_space(space: LRSpace, path: str) -> None:
+    """Reject segments that do not tile the domain, B-spline local knot lines
+    that are not meshlines across the support, and non-minimal supports."""
+    try:
+        space.elements()
+    except MeshError as exc:
+        raise FormatError(f"{path}: segments do not form a box partition: {exc}") from exc
+    for key in space.keys_sorted():
+        for axis, loc, run in ((U, key[0], key[1]), (V, key[1], key[0])):
+            covered = space.coverage(axis)[list(loc), run[0]:run[-1]].all(axis=1)
+            if not covered.all():
+                value = float(space.table(axis)[loc[int(covered.argmin())]])
+                raise FormatError(f"{path}: B-spline {[list(k) for k in key]}: knot "
+                                  f"line {axis}={value!r} is not a meshline across "
+                                  "its support")
+        if (offense := space.find_offense(key)) is not None:
+            value = float(space.table(offense[0])[offense[1]])
+            raise FormatError(f"{path}: B-spline {[list(k) for k in key]} lacks minimal "
+                              f"support: the meshline {offense[0]}={value!r} traverses it")
 
 
 # ----------------------------------------------------------------------

@@ -80,8 +80,8 @@ class LRSpace:
     """An LR-mesh together with the collection of B-splines spanning it.
 
     Use :func:`make_tensor_mesh` to construct one.  Mutation happens through
-    :meth:`insert_segment` / :meth:`apply_segments`; everything else is a
-    read-only query.
+    :meth:`ensure_values`, :meth:`insert_segment` and
+    :meth:`try_apply_segments`; everything else is a read-only query.
     """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, degrees: tuple[int, int]):
@@ -184,15 +184,12 @@ class LRSpace:
     def merged_extent(self, axis: str, fixed: int, lo: int, hi: int) -> tuple[int, int]:
         """Span of the segment after coalescing with touching collinear ones."""
         spans = self._segs.get((axis, fixed), ())
+        # stored spans never touch each other, so one pass finds every span
+        # that touches [lo, hi] and nothing else can touch the result
         m_lo, m_hi = lo, hi
-        changed = True
-        while changed:
-            changed = False
-            for s_lo, s_hi in spans:
-                if s_hi >= m_lo and s_lo <= m_hi and (s_lo < m_lo or s_hi > m_hi):
-                    m_lo = min(m_lo, s_lo)
-                    m_hi = max(m_hi, s_hi)
-                    changed = True
+        for s_lo, s_hi in spans:
+            if s_hi >= lo and s_lo <= hi:
+                m_lo, m_hi = min(m_lo, s_lo), max(m_hi, s_hi)
         return m_lo, m_hi
 
     # ------------------------------------------------------------------
@@ -336,26 +333,12 @@ class LRSpace:
         """Insert one meshline segment, splitting every B-spline it traverses
         and restoring minimal support.  Raises :class:`SegmentError` if the
         (coalesced) segment does not split any B-spline."""
-        self.apply_segments([seg])
-
-    def apply_segments(self, segs: Iterable[MeshSegment]) -> int:
-        """Insert segments one at a time; returns the number inserted.
-
-        Raises :class:`SegmentError` on the first segment that splits nothing.
-        """
-        state = _BatchState(self)
-        count = 0
-        try:
-            for seg in segs:
-                self._insert_one(state, seg)
-                count += 1
-        finally:
-            if count:
-                self._touch()
-        return count
+        self._insert_one(_BatchState(self), seg)
+        self._touch()
 
     def try_apply_segments(self, segs: Iterable[MeshSegment]) -> tuple[int, int]:
-        """Like :meth:`apply_segments` but drops segments that split nothing.
+        """Insert segments one at a time as :meth:`insert_segment` does, but
+        drop those that split nothing instead of raising.
 
         Returns ``(inserted, dropped)``.
         """
@@ -386,10 +369,8 @@ class LRSpace:
                 f"segment {axis}={table[fixed]!r} span [{run[m_lo]!r}, {run[m_hi]!r}] "
                 "splits no B-spline")
         self._add_span(axis, fixed, lo, hi)
-        self._cache.pop("elements", None)
-        self._cache.pop("cell", None)
-        self._cache.pop("overlap", None)
-        self._cache.pop("keys", None)
+        for name in ("elements", "cell", "overlap", "keys"):   # coverage is kept current
+            self._cache.pop(name, None)
         work: deque = deque()
         for key in affected:
             self._split_into(state, key, axis, fixed, work)

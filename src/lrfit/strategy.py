@@ -43,7 +43,6 @@ class StrategySpec:
     direction_policy: str            # 'A' alternating | 'B' both
     thresholds: frozenset            # subset of {'td', 'tn', 'tk'}
     switch_to: "StrategySpec | None" = None
-    combined_simultaneous: bool = False
     label: str = ""
 
 
@@ -134,8 +133,7 @@ def parse_label(label: str) -> StrategySpec:
         switch = None
     return StrategySpec(trigger=trigger, kind=kind, subtype=subtype, extension_L=ext,
                         direction_policy=direction, thresholds=primary_thr,
-                        switch_to=switch, combined_simultaneous=ext,
-                        label=label.strip())
+                        switch_to=switch, label=label.strip())
 
 
 def directions_for(policy: str, iteration: int) -> tuple[str, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .basis import basis_value
 from .mesh import LRSpace
@@ -131,10 +132,6 @@ class ElementStats:
     sum_dist: float = 0.0
     sum_out_dist: float = 0.0
 
-    @property
-    def avg_dist(self) -> float:
-        return self.sum_dist / self.n_points if self.n_points else 0.0
-
 
 @dataclass
 class GlobalStats:
@@ -205,6 +202,15 @@ def approximation_efficiency(n_resolved: int, n_coeff: int) -> float:
     return n_resolved / n_coeff
 
 
+def _column_matrix(cols, scales, n_rows: int) -> sparse.csc_matrix:
+    """CSC matrix with one column per B-spline: column ``i`` holds
+    ``scales[i] * values`` at the rows ``ids`` of ``cols[i] = (ids, values)``."""
+    indptr = np.cumsum([0] + [len(ids) for ids, _ in cols])
+    indices = np.concatenate([ids for ids, _ in cols])
+    data = np.concatenate([s * w for s, (_, w) in zip(scales, cols)])
+    return sparse.csc_matrix((data, indices, indptr), shape=(n_rows, len(cols)))
+
+
 class Collocation:
     """Cache of per-B-spline basis rows at the cloud points.
 
@@ -254,20 +260,8 @@ class Collocation:
     def matrix(self, space: LRSpace):
         """Sparse collocation matrix ``A[k, i] = s_i R_i(x_k, y_k)`` in CSR
         form, assembled column by column from the cached rows."""
-        from scipy import sparse
-
-        scales = space.scale_array()
-        n = len(self._order)
-        k = len(self.cloud)
         cols = [self._rows[vk] for vk in self._order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(ids) for ids, _ in cols], out=indptr[1:])
-        if n:
-            indices = np.concatenate([ids for ids, _ in cols])
-            data = np.concatenate([s * w for s, (_, w) in zip(scales, cols)])
-        else:
-            indices, data = np.empty(0, dtype=np.int64), np.empty(0)
-        self._matrix = sparse.csc_matrix((data, indices, indptr), shape=(k, n)).tocsr()
+        self._matrix = _column_matrix(cols, space.scale_array(), len(self.cloud)).tocsr()
         return self._matrix
 
     def predict(self, space: LRSpace) -> np.ndarray:

@@ -89,3 +89,44 @@ class TestDerivatives:
         t = np.array([0.0, 1.0, 2.0])
         x = np.linspace(0, 2, 50)
         assert (basis_deriv(t, 1, x, 2) == 0.0).all()
+
+
+def recursive_deriv(knots, degree, x, order, right_closed_at=None):
+    """The derivative as two lower-degree derivatives of the knot halves,
+    recursing down to ``basis_value``: the formulation ``basis_deriv`` must
+    reproduce bit for bit."""
+    if order == 0:
+        return basis_value(knots, degree, x, right_closed_at)
+    t = np.asarray(knots, dtype=float)
+    p = degree
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    if p == 0:
+        return out
+    den = t[p] - t[0]
+    if den > 0.0:
+        out = out + (p / den) * recursive_deriv(t[:-1], p - 1, x, order - 1, right_closed_at)
+    den = t[p + 1] - t[1]
+    if den > 0.0:
+        out = out - (p / den) * recursive_deriv(t[1:], p - 1, x, order - 1, right_closed_at)
+    return out
+
+
+class TestDerivativeRecurrence:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_equals_recursive_formulation(self, degree, order):
+        rng = np.random.default_rng(10 * degree + order)
+        pool = np.array([0.0, 0.25, 1.0, 1.5, 2.75, 4.0])
+        vectors = [np.sort(rng.choice(pool, degree + 2)) for _ in range(200)]
+        vectors += [np.arange(degree + 2.0),                     # uniform
+                    np.r_[0.0, np.full(degree, 1.0), 2.0],        # interior repeat
+                    np.r_[np.zeros(degree + 1), 1.0],             # open left end
+                    np.r_[0.0, np.full(degree + 1, 1.0)]]         # open right end
+        for t in vectors:
+            if t[0] == t[-1]:
+                continue
+            x = np.r_[np.linspace(t[0] - 0.5, t[-1] + 0.5, 61), t]
+            for closed_at in (None, t[-1]):
+                ours = basis_deriv(t, degree, x, order, closed_at)
+                ref = recursive_deriv(t, degree, x, order, closed_at)
+                assert np.array_equal(ours, ref), (t, closed_at)

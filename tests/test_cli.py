@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrfit.cli import cli_main, parse_stage
-from lrfit.io import read_surface
+from lrfit.io import REPORT_HEADER, read_surface
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,35 @@ class TestFailureExits:
         # the partial surface is the refined space of iteration 2, fit 1
         surf = read_surface(str(surf_path))
         assert len(surf.space) > int(csv_path.read_text().splitlines()[-1].split(",")[2])
+
+    def test_initial_fit_failure_exits_5_with_start_surface(self, cloud_file, tmp_path,
+                                                            monkeypatch, capsys):
+        import lrfit.driver
+        from lrfit.fitting import FitError
+
+        fit_step = lrfit.driver.fit_step
+
+        def failing(space, cloud, cfg, iteration, *args):
+            if iteration == 0:
+                raise FitError("conjugate gradient did not converge (info=3)")
+            return fit_step(space, cloud, cfg, iteration, *args)
+
+        monkeypatch.setattr(lrfit.driver, "fit_step", failing)
+        surf_path = tmp_path / "s.lrb"
+        csv_path = tmp_path / "run.csv"
+        code = cli_main(["fit", "--points", cloud_file, "--tolerance", "0.05",
+                         "--out", str(surf_path), "--report", str(csv_path)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "run aborted in the initial fit" in err and "info=3" in err
+        assert csv_path.read_text().splitlines() == [REPORT_HEADER]
+        doc = json.loads(surf_path.read_text())
+        assert doc["provenance"]["aborted"].endswith("(info=3)")
+        assert doc["provenance"]["iterations"] is None
+        # the unfitted 8x8 start surface: coefficients still zero
+        surf = read_surface(str(surf_path))
+        assert len(surf.space) == 10 * 10
+        assert not surf.space.coeff_array().any()
 
 
 class TestStageParsing:

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.interpolate import BSpline
 
+from lrfit.basis import basis_deriv, basis_value
 from lrfit.fitting import (FitConfig, SingularSystemError, fit_step, lsq_fit,
                            mba_update, smoothing_matrix)
+from lrfit.mesh import make_tensor_mesh
 from lrfit.surface import (Collocation, LRSurface, PointCloud, assign_points,
                            compute_accuracy)
 
@@ -96,6 +100,96 @@ class TestSmoothingMatrix:
         coeffs = lsq_fit(space, cloud, TIGHT)
         m = smoothing_matrix(space)
         assert abs(coeffs @ (m @ coeffs)) < 1e-10
+
+
+def gram_1d(knots, degree, order):
+    """``G[i, j] = integral N_i^(order) N_j^(order)`` of the B-splines of a
+    full knot vector, from scipy and ``degree + 1`` Gauss points per knot
+    interval (exact for these piecewise polynomials)."""
+    n = len(knots) - degree - 1
+    xg, wg = np.polynomial.legendre.leggauss(degree + 1)
+    brk = np.unique(knots)
+    lo, hi = brk[:-1, None], brk[1:, None]
+    x = (0.5 * (lo + hi) + 0.5 * (hi - lo) * xg).ravel()
+    w = (0.5 * (hi - lo) * wg).ravel()
+    if order > degree:
+        return np.zeros((n, n))
+    vals = np.array([BSpline(knots, np.eye(n)[i], degree).derivative(order)(x)
+                     if order else BSpline(knots, np.eye(n)[i], degree)(x)
+                     for i in range(n)])
+    return (vals * w) @ vals.T
+
+
+def per_element_smoothing(space):
+    """The thin-plate matrix assembled element by element: a dense block of
+    all B-splines on each element from its own Gauss points, summed into a
+    COO matrix."""
+    p1, p2 = space.degrees
+    w_twist = 2.0 if min(p1, p2) >= 2 else 0.0
+    keys, scales = space.keys_sorted(), space.scale_array()
+    e2b, _ = space.overlap_maps()
+    u_max, v_max = float(space.u[-1]), float(space.v[-1])
+    ii, jj, vv = [], [], []
+    for e, el in enumerate(space.elements()):
+        bids = np.asarray(e2b[e])
+        u0, u1, v0, v1 = el.bounds(space)
+        xu, wu = np.polynomial.legendre.leggauss(p1 + 1)
+        xv, wv = np.polynomial.legendre.leggauss(p2 + 1)
+        gu, wu = 0.5 * (u0 + u1) + 0.5 * (u1 - u0) * xu, 0.5 * (u1 - u0) * wu
+        gv, wv = 0.5 * (v0 + v1) + 0.5 * (v1 - v0) * xv, 0.5 * (v1 - v0) * wv
+        wg = np.outer(wu, wv).ravel()
+        uu, vq = np.repeat(gu, len(gv)), np.tile(gv, len(gu))
+        rows = [[], [], []]
+        for bi in bids:
+            tu, tv = space.local_knot_values(keys[bi])
+            bu = [basis_value(tu, p1, uu, u_max)] + [
+                basis_deriv(tu, p1, uu, k, u_max) for k in (1, 2)]
+            bv = [basis_value(tv, p2, vq, v_max)] + [
+                basis_deriv(tv, p2, vq, k, v_max) for k in (1, 2)]
+            for r, (ku, kv) in zip(rows, [(2, 0), (1, 1), (0, 2)]):
+                r.append(scales[bi] * bu[ku] * bv[kv])
+        duu, duv, dvv = (np.array(r) for r in rows)
+        wloc = (duu * wg) @ duu.T + w_twist * (duv * wg) @ duv.T + (dvv * wg) @ dvv.T
+        ii.append(np.repeat(bids, len(bids)))
+        jj.append(np.tile(bids, len(bids)))
+        vv.append(wloc.ravel())
+    n = len(keys)
+    m = sparse.coo_matrix((np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))),
+                          shape=(n, n)).tocsr()
+    return (m + m.T) * 0.5
+
+
+class TestSmoothingOracles:
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (3, 3), (2, 3)])
+    def test_tensor_mesh_against_scipy_gram_matrices(self, degrees):
+        rng = np.random.default_rng(sum(degrees))
+        p1, p2 = degrees
+        knots = []
+        for p, n_el in ((p1, 5), (p2, 4)):
+            inner = np.sort(rng.uniform(0.0, 3.0, n_el - 1))
+            knots.append(np.r_[np.zeros(p + 1), inner, np.full(p + 1, 3.0)])
+        space = make_tensor_mesh(knots[0], knots[1], degrees)
+        # lrfit's key order is the row-major order of the tensor indices
+        windows = []
+        for p, table in ((p1, space.u), (p2, space.v)):
+            idx = [0] * p + list(range(len(table))) + [len(table) - 1] * p
+            windows.append([tuple(idx[a:a + p + 2]) for a in range(len(idx) - p - 1)])
+        assert space.keys_sorted() == [(ku, kv) for ku in windows[0] for kv in windows[1]]
+        gu = [gram_1d(knots[0], p1, k) for k in range(3)]
+        gv = [gram_1d(knots[1], p2, k) for k in range(3)]
+        w_twist = 2.0 if min(degrees) >= 2 else 0.0
+        ref = (np.kron(gu[2], gv[0]) + w_twist * np.kron(gu[1], gv[1])
+               + np.kron(gu[0], gv[2]))
+        m = smoothing_matrix(space).toarray()
+        assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_corpus_against_per_element_assembly(self, corpus50):
+        meshes, _ = corpus50
+        for space in meshes:
+            m = smoothing_matrix(space)
+            assert (m != m.T).nnz == 0
+            ref = per_element_smoothing(space).toarray()
+            assert np.abs(m.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestMBA:

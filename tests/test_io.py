@@ -1,6 +1,8 @@
 """Text formats: point files, surface documents, rasters, reports, synth."""
 
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +112,65 @@ class TestSurfaceDocument:
         path.write_text("not a document")
         with pytest.raises(FormatError):
             read_surface(str(path))
+
+
+
+@pytest.fixture(scope="module")
+def fitted_doc(tmp_path_factory):
+    """A small fitted eFB surface document (degree 2) as parsed JSON."""
+    surf, _ledger = run(gen_synthetic("dunes", 1, 2000),
+                        RunConfig(tolerance=2.0, max_iterations=2))
+    path = tmp_path_factory.mktemp("doc") / "fitted.lrb"
+    write_surface(surf, str(path))
+    return json.loads(path.read_text())
+
+
+class TestNotAnLRSpace:
+    """Corrupted copies of a fitted document are rejected when read."""
+
+    def read(self, doc, tmp_path):
+        path = tmp_path / "bad.lrb"
+        path.write_text(json.dumps(doc))
+        return read_surface(str(path))
+
+    def test_fitted_document_reads(self, fitted_doc, tmp_path):
+        assert len(self.read(fitted_doc, tmp_path).space) == len(fitted_doc["bsplines"])
+
+    def test_stored_benchmark_documents_read(self):
+        from pathlib import Path
+
+        data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+        for name in ("dunes1_p2.lrb", "dunes1_p3.lrb"):
+            doc = json.loads((data / name).read_text())
+            assert len(read_surface(str(data / name)).space) == len(doc["bsplines"])
+
+    def test_segments_that_do_not_tile(self, fitted_doc, tmp_path):
+        doc = copy.deepcopy(fitted_doc)
+        doc["segments"].remove(["v", 0, 0, len(doc["knots_u"]) - 1])   # bottom edge
+        with pytest.raises(FormatError, match="do not form a box partition: "
+                                              "mesh does not tile"):
+            self.read(doc, tmp_path)
+
+    def test_knot_line_not_a_meshline(self, fitted_doc, tmp_path):
+        doc = copy.deepcopy(fitted_doc)
+        n_v = len(doc["knots_v"])
+        i, (axis, fixed, lo, hi) = next(
+            (i, s) for i, s in enumerate(doc["segments"])
+            if s[0] == "u" and (s[2], s[3]) != (0, n_v - 1))   # a refinement line
+        doc["segments"][i] = [axis, fixed, lo, hi - 1]
+        value = doc["knots_u"][fixed]
+        with pytest.raises(FormatError,
+                           match=re.escape(f"knot line u={value!r} is not a meshline")):
+            self.read(doc, tmp_path)
+
+    def test_bspline_without_minimal_support(self, fitted_doc, tmp_path):
+        doc = copy.deepcopy(fitted_doc)
+        assert doc["bsplines"][0][:2] == [[0, 0, 0, 1], [0, 0, 0, 1]]
+        doc["bsplines"][0][0] = [0, 0, 0, 2]   # support now spans the line u1
+        value = doc["knots_u"][1]
+        with pytest.raises(FormatError, match=re.escape(f"lacks minimal support: the meshline "
+                                                        f"u={value!r} traverses it")):
+            self.read(doc, tmp_path)
 
 
 class TestRaster:
