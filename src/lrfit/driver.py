@@ -19,7 +19,7 @@ from .fitting import FitConfig, FitError, fit_step
 from .mesh import SUPPORTED_DEGREES, LRSpace, make_tensor_mesh
 from .strategy import (ThresholdState, build_plan, directions_for, parse_label,
                        plan_to_segments, should_switch)
-from .surface import (AccuracyLedger, Collocation, LRSurface, PointCloud,
+from .surface import (AccuracyLedger, Assignment, Collocation, LRSurface, PointCloud,
                       approximation_efficiency, assign_points, compute_accuracy)
 
 EXIT_CONVERGED = 0
@@ -151,10 +151,11 @@ def initial_elements_for(cloud: PointCloud, cfg: RunConfig) -> tuple[int, int]:
 
 
 def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
-                         colloc: Collocation | None = None) -> LRSurface:
+                         colloc: Collocation | None = None) -> tuple[LRSurface, Assignment]:
     """Coarse tensor-product surface over the cloud's bounding box, fitted
-    with one penalized least-squares solve.  A failed fit raises
-    :class:`RunAborted` with the unfitted surface and an empty ledger."""
+    with one penalized least-squares solve, and the cloud's assignment to
+    its elements.  A failed fit raises :class:`RunAborted` with the unfitted
+    surface and an empty ledger."""
     if len(cloud) < 3:
         raise InputError("point cloud needs at least 3 points")
     u0, u1 = float(cloud.x.min()), float(cloud.x.max())
@@ -173,7 +174,7 @@ def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
         fit_step(space, cloud, cfg.fit, 0, colloc, assignment)
     except FitError as exc:
         raise RunAborted(str(exc), surface, RunLedger()) from exc
-    return surface
+    return surface, assignment
 
 
 def _check_finite(cloud: PointCloud) -> None:
@@ -196,9 +197,8 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
     spec = parse_label(cfg.strategy)
     colloc = Collocation(cloud)
     t0 = time.perf_counter()
-    surface = make_initial_surface(cloud, cfg, colloc)
+    surface, assignment = make_initial_surface(cloud, cfg, colloc)
     space = surface.space
-    assignment = assign_points(surface, cloud)
     acc = compute_accuracy(surface, cloud, assignment, cfg.tolerance,
                            z_pred=colloc.predict(space))
     _log_row(ledger, 0, acc, space, time.perf_counter() - t0, 0, spec.label)

@@ -62,43 +62,62 @@ class LRSurface:
     def domain(self) -> tuple[float, float, float, float]:
         return self.space.domain
 
-    def _locate(self, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        """Element id per query point; half-open boxes, closed at the top."""
-        sp = self.space
-        iu = np.clip(np.searchsorted(sp.u, uu, side="right") - 1, 0, len(sp.u) - 2)
-        iv = np.clip(np.searchsorted(sp.v, vv, side="right") - 1, 0, len(sp.v) - 2)
-        return sp.cell_to_element()[iu, iv]
-
     def evaluate(self, u, v):
         """Surface height at ``(u, v)``; arrays broadcast, scalars in/out."""
         sp = self.space
         u0, u1, v0, v1 = sp.domain
         uu, vv = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        scalar = uu.ndim == 0
-        uu = np.atleast_1d(uu).ravel()
-        vv = np.atleast_1d(vv).ravel()
+        shape = uu.shape
+        uu, vv = uu.ravel(), vv.ravel()
         if (uu < u0).any() or (uu > u1).any() or (vv < v0).any() or (vv > v1).any():
             raise DomainError("query point outside the surface domain")
-        eid = self._locate(uu, vv)
-        e2b, _ = sp.overlap_maps()
-        keys = sp.keys_sorted()
-        scales = sp.scale_array()
-        coeffs = sp.coeff_array()
-        p1, p2 = sp.degrees
+        _, order, start = _cell_order(sp, uu, vv)
+        scales, coeffs = sp.scale_array(), sp.coeff_array()
         out = np.zeros_like(uu)
-        for e in np.unique(eid):
-            mask = eid == e
-            ue, ve = uu[mask], vv[mask]
-            acc = np.zeros_like(ue)
-            for bi in e2b[int(e)]:
-                tu, tv = sp.local_knot_values(keys[bi])
-                acc += (scales[bi] * coeffs[bi]
-                        * basis_value(tu, p1, ue, u1)
-                        * basis_value(tv, p2, ve, v1))
-            out[mask] = acc
-        shp = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))[0].shape
-        out = out.reshape(shp)
-        return float(out) if scalar else out
+        # every point takes its terms in key order, as a sum over all B-splines would
+        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, range(len(scales))):
+            out[ids] += scales[bi] * coeffs[bi] * ru * rv
+        out = out.reshape(shape)
+        return float(out) if out.ndim == 0 else out
+
+
+def _cell_order(space: LRSpace, x: np.ndarray, y: np.ndarray):
+    """``(cell, order, start)``: each point's global grid cell ``iu * nv + iv``
+    (half-open, closed at the domain top), the point ids stably sorted by
+    cell, and where each cell's run starts in that order, plus the end."""
+    nu, nv = len(space.u) - 1, len(space.v) - 1
+    iu = np.clip(np.searchsorted(space.u, x, side="right") - 1, 0, nu - 1)
+    iv = np.clip(np.searchsorted(space.v, y, side="right") - 1, 0, nv - 1)
+    cell = iu * nv + iv
+    order = np.argsort(cell, kind="stable")
+    start = np.r_[0, np.cumsum(np.bincount(cell, minlength=nu * nv))]
+    return cell, order, start
+
+
+def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
+                    x: np.ndarray, y: np.ndarray, bis):
+    """Yield ``(bi, ids, R_u, R_v)`` for each B-spline id in ``bis`` with points
+    in its support box: those points and its two univariate factors.  The
+    support is a union of elements, hence of grid cells, so its points are
+    one run of ``order`` per support column."""
+    keys = space.keys_sorted()
+    p1, p2 = space.degrees
+    u1, v1 = float(space.u[-1]), float(space.v[-1])
+    nv = len(space.v) - 1
+    boxes = [(ku[0], ku[-1], kv[0], kv[-1]) for ku, kv in (keys[bi] for bi in bis)]
+    u_lo, u_hi, v_lo, v_hi = np.array(boxes, dtype=np.int64).reshape(-1, 4).T
+    # the runs of all B-splines, support column by support column
+    n_col = u_hi - u_lo
+    first = np.cumsum(n_col) - n_col
+    col = np.arange(n_col.sum()) - np.repeat(first - u_lo, n_col)
+    lo = start[col * nv + np.repeat(v_lo, n_col)]
+    hi = start[col * nv + np.repeat(v_hi, n_col)]
+    n_pts = np.add.reduceat(hi - lo, first) if bis else first
+    lo, hi, first, last = lo.tolist(), hi.tolist(), first.tolist(), (first + n_col).tolist()
+    for k in np.flatnonzero(n_pts).tolist():
+        ids = np.concatenate([order[lo[j]:hi[j]] for j in range(first[k], last[k])])
+        tu, tv = space.local_knot_values(keys[bis[k]])
+        yield bis[k], ids, basis_value(tu, p1, x[ids], u1), basis_value(tv, p2, y[ids], v1)
 
 
 @dataclass
@@ -106,20 +125,16 @@ class Assignment:
     """Point-to-element assignment for the current mesh."""
 
     element_of: np.ndarray          # element id per point
-    by_element: list[np.ndarray]    # point ids per element, aligned with elements()
+    order: np.ndarray               # point ids sorted by global grid cell
+    start: np.ndarray               # start of each cell's run in ``order``, plus the end
 
 
 def assign_points(surface: LRSurface, cloud: PointCloud) -> Assignment:
     """Assign every point to exactly one element (half-open boxes, the
     greater-side element on interior meshlines, closed at the domain edge)."""
-    eid = surface._locate(cloud.x, cloud.y)
-    n_el = len(surface.space.elements())
-    order = np.argsort(eid, kind="stable")
-    sorted_eid = eid[order]
-    starts = np.searchsorted(sorted_eid, np.arange(n_el), side="left")
-    ends = np.searchsorted(sorted_eid, np.arange(n_el), side="right")
-    by_element = [order[s:e] for s, e in zip(starts, ends)]
-    return Assignment(element_of=eid, by_element=by_element)
+    space = surface.space
+    cell, order, start = _cell_order(space, cloud.x, cloud.y)
+    return Assignment(space.cell_to_element().ravel()[cell], order, start)
 
 
 @dataclass
@@ -180,7 +195,7 @@ def compute_accuracy(surface: LRSurface, cloud: PointCloud, assignment: Assignme
     d = np.abs(z_pred - cloud.z)
     out = d > tolerance
     eid = assignment.element_of
-    n_el = len(assignment.by_element)
+    n_el = len(surface.space.elements())
     n_points = np.bincount(eid, minlength=n_el)
     n_out = np.bincount(eid[out], minlength=n_el)
     sum_d = np.bincount(eid, weights=d, minlength=n_el)
@@ -228,34 +243,19 @@ class Collocation:
 
     def update(self, space: LRSpace, assignment: Assignment) -> None:
         self._matrix = None
-        keys = space.keys_sorted()
-        _, b2e = space.overlap_maps()
-        p1, p2 = space.degrees
-        u1 = float(space.u[-1])
-        v1 = float(space.v[-1])
-        x, y = self.cloud.x, self.cloud.y
-        wanted = {}
-        for bi, key in enumerate(keys):
-            tu, tv = space.local_knot_values(key)
-            wanted[(tuple(tu), tuple(tv))] = bi
-        for vk in list(self._rows):
-            if vk not in wanted:
-                del self._rows[vk]
-        for vk, bi in wanted.items():
-            if vk in self._rows:
-                continue
-            ids_parts = [assignment.by_element[int(e)] for e in b2e[bi]]
-            ids = np.concatenate(ids_parts) if ids_parts else np.empty(0, dtype=int)
-            if len(ids) == 0:
-                self._rows[vk] = (ids, np.empty(0))
-                continue
-            w = (basis_value(np.asarray(vk[0]), p1, x[ids], u1)
-                 * basis_value(np.asarray(vk[1]), p2, y[ids], v1))
+        self._order = [tuple(map(tuple, space.local_knot_values(key)))
+                       for key in space.keys_sorted()]
+        wanted = set(self._order)
+        for vk in self._rows.keys() - wanted:
+            del self._rows[vk]
+        new = [bi for bi, vk in enumerate(self._order) if vk not in self._rows]
+        for bi in new:   # a B-spline without points keeps an empty row
+            self._rows[self._order[bi]] = (np.empty(0, dtype=np.int64), np.empty(0))
+        for bi, ids, ru, rv in _bspline_points(space, assignment.order, assignment.start,
+                                               self.cloud.x, self.cloud.y, new):
+            w = ru * rv
             nz = w > 0.0
-            self._rows[vk] = (ids[nz], w[nz])
-        self._order = [None] * len(keys)
-        for vk, bi in wanted.items():
-            self._order[bi] = vk
+            self._rows[self._order[bi]] = (ids[nz], w[nz])
 
     def matrix(self, space: LRSpace):
         """Sparse collocation matrix ``A[k, i] = s_i R_i(x_k, y_k)`` in CSR

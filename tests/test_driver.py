@@ -48,14 +48,14 @@ class TestInitialSurface:
             cfg = RunConfig(tolerance=1.0, degrees=degrees,
                             fit=FitConfig(solver_tol=1e-13,
                                           solver_max_iter=20000))
-            surf = make_initial_surface(cloud, cfg)
+            surf, _ = make_initial_surface(cloud, cfg)
             resid = np.abs(surf.evaluate(cloud.x, cloud.y) - cloud.z)
             assert resid.max() < 1e-8
 
     def test_one_element_bilinear_sheet(self):
         cloud = plane_cloud(n=500)
         cfg = RunConfig(tolerance=1.0, degrees=(1, 1), initial_elements=(1, 1))
-        surf = make_initial_surface(cloud, cfg)
+        surf, _ = make_initial_surface(cloud, cfg)
         assert len(surf.space) == 4
 
     def test_degenerate_cloud_rejected(self):

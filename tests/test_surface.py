@@ -110,13 +110,15 @@ class TestAssignment:
                                  rng.uniform(sp.v[0], sp.v[-1], 500),
                                  rng.normal(size=500)])
         asn = assign_points(surf, cloud)
-        counts = np.zeros(500, dtype=int)
-        for e, ids in enumerate(asn.by_element):
-            counts[ids] += 1
-            b = sp.elements()[e].bounds(sp)
-            assert (cloud.x[ids] >= b[0]).all() and (cloud.x[ids] <= b[1]).all()
-            assert (cloud.y[ids] >= b[2]).all() and (cloud.y[ids] <= b[3]).all()
-        assert (counts == 1).all()
+        els = sp.elements()
+        assert asn.element_of.shape == (500,)
+        assert ((asn.element_of >= 0) & (asn.element_of < len(els))).all()
+        b = np.array([els[e].bounds(sp) for e in asn.element_of])
+        assert ((cloud.x >= b[:, 0]) & (cloud.x <= b[:, 1])).all()
+        assert ((cloud.y >= b[:, 2]) & (cloud.y <= b[:, 3])).all()
+        # the cell order holds every point exactly once
+        assert (np.bincount(asn.order, minlength=500) == 1).all()
+        assert asn.start[-1] == 500
 
     def test_interior_meshline_goes_to_greater_side(self):
         sp = uniform_tensor_space((1, 1), n_elems=2)
