@@ -17,29 +17,7 @@ def basis_value(knots, degree: int, x, right_closed_at: float | None = None) -> 
 
     ``knots`` must be non-decreasing with ``degree + 2`` entries.
     """
-    t = np.asarray(knots, dtype=float)
-    x = np.asarray(x, dtype=float)
-    p = degree
-    if t.shape[0] != p + 2:
-        raise ValueError(f"expected {p + 2} local knots, got {t.shape[0]}")
-
-    levels = []
-    for j in range(p + 1):
-        ind = (x >= t[j]) & (x < t[j + 1])
-        if right_closed_at is not None and t[j] < t[j + 1] and t[j + 1] >= right_closed_at:
-            ind = ind | (x == t[j + 1])
-        levels.append(ind.astype(float))
-    for d in range(1, p + 1):
-        for j in range(p + 1 - d):
-            acc = np.zeros_like(levels[j])
-            den = t[j + d] - t[j]
-            if den > 0.0:
-                acc += (x - t[j]) / den * levels[j]
-            den = t[j + d + 1] - t[j + 1]
-            if den > 0.0:
-                acc += (t[j + d + 1] - x) / den * levels[j + 1]
-            levels[j] = acc
-    return levels[0]
+    return basis_deriv(knots, degree, x, 0, right_closed_at)
 
 
 def basis_deriv(knots, degree: int, x, order: int,

@@ -4,6 +4,10 @@ Exit codes: 0 converged / success, 2 iteration cap, 3 stagnation stop,
 4 input or usage error, 5 fit aborted (``--out`` and ``--report`` then hold
 the last surface and the iterations completed before the failure: the
 unfitted start surface and no rows when the initial fit fails).
+
+``--tolerance`` (``fit`` and ``report``) must be positive and finite, and
+``--min-interval`` non-negative (``0``, the default, sets no limit); NaN is
+rejected for both with exit code 4.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 import numpy as np
 
 from .driver import (EXIT_INPUT_ERROR, EXIT_RUN_ABORTED, InputError, RunAborted,
-                     RunConfig, StagePredicate, run)
+                     RunConfig, StagePredicate, check_tolerance, run)
 from .fitting import FitError
 from .io import (FormatError, gen_synthetic, read_points, read_surface,
                  sample_raster, write_points, write_report, write_surface,
@@ -93,14 +97,15 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--strategy", default="eFB",
                        help='refinement strategy label, e.g. "eFA tn" or "bSB"')
     p_fit.add_argument("--tolerance", type=float, required=True,
-                       help="fitting tolerance in meters")
+                       help="fitting tolerance in meters, positive and finite")
     p_fit.add_argument("--degree", type=int, default=2,
                        help="polynomial degree in both directions")
     p_fit.add_argument("--max-iter", type=int, default=40)
     p_fit.add_argument("--out", help="surface document output path")
     p_fit.add_argument("--report", help="per-iteration CSV report path")
     p_fit.add_argument("--min-interval", type=float, default=0.0,
-                       help="smallest knot interval the refinement may create")
+                       help="smallest knot interval the refinement may create, "
+                            "non-negative (0: no limit)")
     p_fit.add_argument("--initial-grid", type=parse_grid, metavar="NxM",
                        help="elements per direction of the starting mesh")
     p_fit.add_argument("--intermediate", metavar="STAGE",
@@ -126,7 +131,8 @@ def build_parser() -> _Parser:
                                              "surface against a cloud")
     p_report.add_argument("--surface", required=True)
     p_report.add_argument("--points", required=True)
-    p_report.add_argument("--tolerance", type=float, required=True)
+    p_report.add_argument("--tolerance", type=float, required=True,
+                          help="fitting tolerance in meters, positive and finite")
 
     p_rt = sub.add_parser("roundtrip-check",
                           help="verify a surface document survives a "
@@ -204,10 +210,9 @@ def _cmd_raster(args) -> int:
 def _cmd_report(args) -> int:
     from .surface import assign_points, compute_accuracy
 
+    check_tolerance(args.tolerance)
     surface = read_surface(args.surface)
     cloud = read_points(args.points)
-    if args.tolerance <= 0:
-        raise SystemExit_(EXIT_INPUT_ERROR, "tolerance must be positive")
     assignment = assign_points(surface, cloud)
     acc = compute_accuracy(surface, cloud, assignment, args.tolerance)
     g = acc.global_stats

@@ -10,6 +10,7 @@ stalls.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .fitting import FitConfig, FitError, fit_step
 from .mesh import SUPPORTED_DEGREES, LRSpace, make_tensor_mesh
-from .strategy import (ThresholdState, build_plan, directions_for, parse_label,
-                       plan_to_segments, should_switch)
+from .strategy import (build_plan, directions_for, parse_label, plan_to_segments,
+                       should_switch)
 from .surface import (AccuracyLedger, Assignment, Collocation, LRSurface, PointCloud,
                       approximation_efficiency, assign_points, compute_accuracy)
 
@@ -31,6 +32,13 @@ EXIT_RUN_ABORTED = 5
 
 class InputError(ValueError):
     """Unusable input data or configuration."""
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Reject a tolerance that is not positive and finite: no distance
+    exceeds NaN, so a NaN tolerance would count every point as resolved."""
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise InputError(f"tolerance must be positive and finite, got {tolerance!r}")
 
 
 class RunAborted(RuntimeError):
@@ -120,12 +128,12 @@ class RunConfig:
     initial_elements: tuple[int, int] | None = None
     min_interval: float = 0.0
     fit: FitConfig = field(default_factory=FitConfig)
-    thresholds: ThresholdState = field(default_factory=ThresholdState)
     intermediate: StagePredicate | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise InputError("tolerance must be positive")
+        check_tolerance(self.tolerance)
+        if not self.min_interval >= 0.0:   # also NaN
+            raise InputError(f"min_interval must be non-negative, got {self.min_interval!r}")
         if self.max_iterations < 0:
             raise InputError("max_iterations must be non-negative")
         for p in self.degrees:
@@ -135,7 +143,7 @@ class RunConfig:
 
 
 def initial_elements_for(cloud: PointCloud, cfg: RunConfig) -> tuple[int, int]:
-    """Element counts of the starting tensor mesh: configured, or an
+    """Numbers of elements per side of the starting tensor mesh: configured, or an
     aspect-ratio-adjusted grid of roughly 8 elements along the longer side."""
     if cfg.initial_elements is not None:
         nu, nv = cfg.initial_elements
@@ -203,7 +211,6 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
                            z_pred=colloc.predict(space))
     _log_row(ledger, 0, acc, space, time.perf_counter() - t0, 0, spec.label)
 
-    state = cfg.thresholds
     switch_offset = 0          # iteration at which the active strategy started
     empty_streak = 0
     history: list[tuple[int, int]] = []
@@ -222,7 +229,7 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
         t0 = time.perf_counter()
         level = iteration - switch_offset
         dirs = directions_for(spec.direction_policy, level)
-        plan = build_plan(spec, space, acc, dirs, state, level, cfg.min_interval)
+        plan = build_plan(spec, space, acc, dirs, level, cfg.min_interval)
         segs = plan_to_segments(space, plan)
         inserted, _dropped = space.try_apply_segments(segs)
         empty_streak = empty_streak + 1 if inserted == 0 else 0

@@ -4,9 +4,10 @@ Penalized least squares solves the sparse normal equations of
 
     min_P  alpha_smooth * E(F) + alpha_ls * sum_k (F(x_k, y_k) - z_k)^2
 
-where ``E`` is the thin-plate energy integrated by Gauss-Legendre quadrature,
-and the multilevel B-spline approximation (MBA) update folds a pseudo-inverse
-residual correction into the coefficients of the existing surface.
+over ``K`` points, with ``alpha_ls = 1/K`` and ``E`` the thin-plate energy
+integrated by Gauss-Legendre quadrature, and the multilevel B-spline
+approximation (MBA) update folds a pseudo-inverse residual correction into
+the coefficients of the existing surface.
 """
 
 from __future__ import annotations
@@ -32,22 +33,24 @@ class SingularSystemError(FitError):
     set a positive smoothing weight."""
 
 
+#: loop passes fitted by global least squares before the MBA updates take over
+LSQ_ITERATIONS = 2
+
+
 @dataclass
 class FitConfig:
-    """Weights and solver settings for the approximation engines.
+    """Smoothing weight and solver settings for the approximation engines.
 
-    ``None`` weights resolve to scale-invariant defaults at fit time:
-    ``alpha_ls = 1/K`` and ``alpha_smooth = 1e-3 * alpha_ls * domain_area``.
+    A ``None`` smoothing weight resolves to the scale-invariant default
+    ``alpha_smooth = 1e-3 * alpha_ls * domain_area`` at fit time.
     """
 
     alpha_smooth: float | None = None
-    alpha_ls: float | None = None
-    lsq_iterations: int = 2
     solver_tol: float = 1e-10
     solver_max_iter: int = 4000
 
     def resolved_weights(self, n_points: int, domain_area: float) -> tuple[float, float]:
-        a2 = self.alpha_ls if self.alpha_ls is not None else 1.0 / max(n_points, 1)
+        a2 = 1.0 / max(n_points, 1)
         a1 = (self.alpha_smooth if self.alpha_smooth is not None
               else 1e-3 * a2 * domain_area)
         return a1, a2
@@ -70,7 +73,7 @@ def smoothing_matrix(space: LRSpace) -> sparse.csr_matrix:
     """
     p1, p2 = space.degrees
     w_twist = 2.0 if min(p1, p2) >= 2 else 0.0
-    u0, u1, v0, v1 = np.array([el.bounds(space) for el in space.elements()]).T
+    u0, u1, v0, v1 = space.element_bounds().T
     xu, wu = np.polynomial.legendre.leggauss(p1 + 1)
     xv, wv = np.polynomial.legendre.leggauss(p2 + 1)
     half_u, half_v = 0.5 * (u1 - u0), 0.5 * (v1 - v0)
@@ -169,10 +172,10 @@ def mba_update(space: LRSpace, cloud: PointCloud,
 def fit_step(space: LRSpace, cloud: PointCloud, cfg: FitConfig, iteration: int,
              colloc: Collocation | None = None,
              assignment: Assignment | None = None) -> np.ndarray:
-    """One approximation pass: global LSQ for the first ``lsq_iterations``
-    loop passes, the local MBA update afterwards.  Writes the coefficients
-    back into the space and returns them."""
-    if iteration < cfg.lsq_iterations:
+    """One approximation pass: global LSQ for the first
+    :data:`LSQ_ITERATIONS` loop passes, the local MBA update afterwards.
+    Writes the coefficients back into the space and returns them."""
+    if iteration < LSQ_ITERATIONS:
         coeffs = lsq_fit(space, cloud, cfg, colloc, assignment)
     else:
         coeffs = mba_update(space, cloud, colloc, assignment)

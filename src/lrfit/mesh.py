@@ -58,20 +58,6 @@ class MeshSegment:
             raise MeshError("empty segment span")
 
 
-@dataclass
-class Element:
-    """A minimal rectangle of the box partition, as table index bounds."""
-
-    iu0: int
-    iu1: int
-    iv0: int
-    iv1: int
-
-    def bounds(self, space: "LRSpace") -> tuple[float, float, float, float]:
-        return (space.u[self.iu0], space.u[self.iu1],
-                space.v[self.iv0], space.v[self.iv1])
-
-
 def _other(axis: str) -> str:
     return V if axis == U else U
 
@@ -195,7 +181,9 @@ class LRSpace:
     # ------------------------------------------------------------------
     # elements
 
-    def elements(self) -> list[Element]:
+    def elements(self) -> np.ndarray:
+        """``(E, 4)`` int array of element boxes ``(iu0, iu1, iv0, iv1)`` as
+        table indices, ordered by lower-left cell, ``v`` major."""
         els = self._cache.get("elements")
         if els is None:
             els, cell = self._build_elements()
@@ -203,18 +191,23 @@ class LRSpace:
             self._cache["cell"] = cell
         return els
 
+    def element_bounds(self) -> np.ndarray:
+        """``(E, 4)`` float array of element boxes ``(u0, u1, v0, v1)``."""
+        iu0, iu1, iv0, iv1 = self.elements().T
+        return np.stack([self.u[iu0], self.u[iu1], self.v[iv0], self.v[iv1]], axis=1)
+
     def cell_to_element(self) -> np.ndarray:
         """int array over global grid cells mapping each cell to its element id."""
         self.elements()
         return self._cache["cell"]
 
-    def _build_elements(self) -> tuple[list[Element], np.ndarray]:
+    def _build_elements(self) -> tuple[np.ndarray, np.ndarray]:
         covu = self.coverage(U)   # (len(u), len(v) - 1)
         covv = self.coverage(V)   # (len(v), len(u) - 1)
         nu = len(self.u) - 1
         nv = len(self.v) - 1
         cell = np.full((nu, nv), -1, dtype=np.int64)
-        els: list[Element] = []
+        els: list[tuple[int, int, int, int]] = []
         for iv in range(nv):
             xs = np.flatnonzero(covu[:, iv])
             for pos in range(len(xs) - 1):
@@ -235,10 +228,10 @@ class LRSpace:
                 if (cell[iu:iu2, iv:iv2] != -1).any():
                     raise MeshError("overlapping elements")
                 cell[iu:iu2, iv:iv2] = len(els)
-                els.append(Element(iu, iu2, iv, iv2))
+                els.append((iu, iu2, iv, iv2))
         if (cell == -1).any():
             raise MeshError("mesh does not tile the parameter rectangle")
-        return els, cell
+        return np.array(els, dtype=np.int64).reshape(-1, 4), cell
 
     def overlap_maps(self) -> tuple[list[list[int]], list[np.ndarray]]:
         """``(elements -> B-spline ids, B-spline id -> element ids)``.

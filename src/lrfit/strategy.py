@@ -149,13 +149,13 @@ def directions_for(policy: str, iteration: int) -> tuple[str, ...]:
     raise ValueError(f"unknown direction policy {policy!r}")
 
 
-@dataclass
-class ThresholdState:
-    """Weights and per-iteration decay of the threshold cutoffs."""
-
-    decay: float = 0.9
-    weights_td: tuple[float, float, float] = (0.3, 0.4, 0.3)
-    weights_tn: tuple[float, float] = (0.5, 0.5)
+#: factor by which every threshold cutoff shrinks per iteration level
+DECAY = 0.9
+#: td weights of the largest distance, the mean out-of-tolerance distance
+#: and the tolerance
+WEIGHTS_TD = (0.3, 0.4, 0.3)
+#: tn weights of the smallest and the largest element score
+WEIGHTS_TN = (0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -170,41 +170,34 @@ def _support_point_stats(space: LRSpace, acc: AccuracyLedger
     """Per B-spline: point count, out-of-tolerance count and max distance
     over the elements in its support."""
     _, b2e = space.overlap_maps()
-    n_pts = np.array([s.n_points for s in acc.per_element])
-    n_out = np.array([s.n_out for s in acc.per_element])
-    max_d = np.array([s.max_dist for s in acc.per_element])
-    pts = np.array([n_pts[e].sum() for e in b2e])
-    out = np.array([n_out[e].sum() for e in b2e])
-    mx = np.array([max_d[e].max() if len(e) else 0.0 for e in b2e])
-    return pts, out, mx
+    # every support holds at least one element, so no run is empty
+    eids = np.concatenate(b2e)
+    first = np.cumsum([0] + [len(e) for e in b2e[:-1]])
+    return (np.add.reduceat(acc.n_points[eids], first),
+            np.add.reduceat(acc.n_out[eids], first),
+            np.maximum.reduceat(acc.max_dist[eids], first))
 
 
 def element_scores(acc: AccuracyLedger) -> np.ndarray:
     """The tn significance score ``n_out * (1 + max_dist / tolerance)``."""
-    return np.array([s.n_out * (1.0 + s.max_dist / acc.tolerance)
-                     for s in acc.per_element])
+    return acc.n_out * (1.0 + acc.max_dist / acc.tolerance)
 
 
-def compute_thresholds(acc: AccuracyLedger, state: ThresholdState, iteration: int,
-                       space: LRSpace) -> Cutoffs:
+def compute_thresholds(acc: AccuracyLedger, iteration: int, space: LRSpace) -> Cutoffs:
     """Numeric cutoffs for td, tn and tk at this iteration level.
 
-    All cutoffs shrink by the decay factor with successive iterations.
+    All cutoffs shrink by :data:`DECAY` with successive iterations.
     """
-    f = state.decay ** max(iteration - 1, 0)
+    f = DECAY ** max(iteration - 1, 0)
     g = acc.global_stats
-    w1, w2, w3 = state.weights_td
+    w1, w2, w3 = WEIGHTS_TD
     td = f * (w1 * g.max_dist + w2 * g.avg_out_dist + w3 * acc.tolerance)
     scores = element_scores(acc)
-    if len(scores):
-        wmin, wmax = state.weights_tn
-        tn = f * (wmin * scores.min() + wmax * scores.max())
-    else:
-        tn = 0.0
+    wmin, wmax = WEIGHTS_TN
+    tn = f * (wmin * scores.min() + wmax * scores.max())
+    # a space has at least one element and one B-spline
     pts, out, _ = _support_point_stats(space, acc)
-    mean_out = out.mean() if len(out) else 0.0
-    mean_pts = pts.mean() if len(pts) else 0.0
-    tk = 0.01 * mean_pts if mean_pts > 100.0 * mean_out else mean_out
+    tk = 0.01 * pts.mean() if pts.mean() > 100.0 * out.mean() else out.mean()
     return Cutoffs(td=td, tn=tn, tk=f * tk)
 
 
@@ -244,10 +237,6 @@ class RefinementPlan:
         return False
 
 
-def _element_bounds(space: LRSpace, e: int) -> tuple[float, float, float, float]:
-    return space.elements()[e].bounds(space)
-
-
 def _axis_ranges(bounds, axis: str) -> tuple[float, float, float, float]:
     """(d0, d1, o0, o1): element range along ``axis`` and orthogonal to it."""
     u0, u1, v0, v1 = bounds
@@ -265,55 +254,56 @@ def _wide_enough(d0: float, d1: float, min_interval: float) -> bool:
 
 
 def flagged_elements(acc: AccuracyLedger, thresholds: frozenset,
-                     cuts: Cutoffs) -> list[int]:
+                     cuts: Cutoffs) -> np.ndarray:
     """Elements with unresolved points, filtered by the active thresholds."""
-    scores = element_scores(acc) if "tn" in thresholds else None
-    out = []
-    for e, s in enumerate(acc.per_element):
-        if s.n_out < 1:
-            continue
-        if "td" in thresholds and s.max_dist <= cuts.td:
-            continue
-        if scores is not None and scores[e] <= cuts.tn:
-            continue
-        out.append(e)
-    return out
+    keep = acc.n_out >= 1
+    if "td" in thresholds:
+        keep &= acc.max_dist > cuts.td
+    if "tn" in thresholds:
+        keep &= element_scores(acc) > cuts.tn
+    return np.flatnonzero(keep)
 
 
 def flagged_bsplines(space: LRSpace, acc: AccuracyLedger, thresholds: frozenset,
-                     cuts: Cutoffs) -> list[int]:
+                     cuts: Cutoffs) -> np.ndarray:
     """B-splines with unresolved points in their support, td-filtered."""
     _, out_b, max_b = _support_point_stats(space, acc)
     ids = np.flatnonzero(out_b >= 1)
     if "td" in thresholds:
         ids = ids[max_b[ids] > cuts.td]
-    return [int(i) for i in ids]
+    return ids
 
 
-def plan_full_span(flagged: list[int], space: LRSpace, dirs: tuple[str, ...],
-                   min_interval: float = 0.0,
-                   plan: RefinementPlan | None = None) -> RefinementPlan:
-    """Per flagged element and direction: a midpoint segment spanning the
-    union of the supports of every B-spline overlapping the element."""
-    plan = plan if plan is not None else RefinementPlan()
+def _full_spans(space: LRSpace, elements, dirs: tuple[str, ...], min_interval: float):
+    """Yield ``(axis, (d0, d1, o0, o1), segment)`` per element and direction
+    in which the element may be halved: its ranges along and across
+    ``axis`` and the midpoint segment spanning the union of the supports of
+    every B-spline overlapping it."""
     e2b, _ = space.overlap_maps()
-    keys = space.keys_sorted()
-    for e in flagged:
-        bounds = _element_bounds(space, e)
+    bounds = space.element_bounds().tolist()
+    supp = np.array([space.support_values(k) for k in space.keys_sorted()])
+    for e in elements:
         for axis in dirs:
-            d0, d1, o0, o1 = _axis_ranges(bounds, axis)
+            d0, d1, o0, o1 = _axis_ranges(bounds[e], axis)
             if not _wide_enough(d0, d1, min_interval):
                 continue
-            lo, hi = o0, o1
-            for bi in e2b[e]:
-                _, _, s0, s1 = _support_ranges(space, keys[bi], axis)
-                lo = min(lo, s0)
-                hi = max(hi, s1)
-            plan.add(PlanSegment(axis, (d0 + d1) / 2.0, lo, hi))
+            # the supports contain the element, so their union spans it
+            s = supp[e2b[e]][:, [2, 3] if axis == U else [0, 1]]
+            seg = PlanSegment(axis, (d0 + d1) / 2.0, s[:, 0].min(), s[:, 1].max())
+            yield axis, (d0, d1, o0, o1), seg
+
+
+def plan_full_span(flagged, space: LRSpace, dirs: tuple[str, ...],
+                   min_interval: float = 0.0) -> RefinementPlan:
+    """Per flagged element and direction: a midpoint segment spanning the
+    union of the supports of every B-spline overlapping the element."""
+    plan = RefinementPlan()
+    for _axis, _ranges, seg in _full_spans(space, flagged, dirs, min_interval):
+        plan.add(seg)
     return plan
 
 
-def plan_min_span(flagged: list[int], space: LRSpace, acc: AccuracyLedger,
+def plan_min_span(flagged, space: LRSpace, acc: AccuracyLedger,
                   dirs: tuple[str, ...], sub: str,
                   min_interval: float = 0.0) -> RefinementPlan:
     """Per flagged element and direction: a midpoint segment spanning exactly
@@ -329,19 +319,16 @@ def plan_min_span(flagged: list[int], space: LRSpace, acc: AccuracyLedger,
     e2b, _ = space.overlap_maps()
     keys = space.keys_sorted()
     pts_b, out_b, _ = _support_point_stats(space, acc)
+    supp = np.array([space.support_values(k) for k in keys])
+    area_b = (supp[:, 1] - supp[:, 0]) * (supp[:, 3] - supp[:, 2])
+    share_b = np.divide(out_b, pts_b, out=np.zeros(len(pts_b)), where=pts_b > 0)
+    all_bounds = space.element_bounds().tolist()
     for e in flagged:
-        bounds = _element_bounds(space, e)
+        bounds = all_bounds[e]
         bids = e2b[e]
         if not bids:
             continue
-        areas = []
-        shares = []
-        for bi in bids:
-            su0, su1, sv0, sv1 = space.support_values(keys[bi])
-            areas.append((su1 - su0) * (sv1 - sv0))
-            shares.append(out_b[bi] / pts_b[bi] if pts_b[bi] > 0 else 0.0)
-        areas = np.asarray(areas)
-        shares = np.asarray(shares)
+        areas, shares = area_b[bids], share_b[bids]
         if sub == "l":
             score = areas
         elif sub == "u":
@@ -380,7 +367,7 @@ def _local_intervals(space: LRSpace, key, axis: str) -> list[tuple[float, float]
             for a, b in zip(vals[:-1], vals[1:])]
 
 
-def plan_structured(flagged_b: list[int], space: LRSpace, dirs: tuple[str, ...],
+def plan_structured(flagged_b, space: LRSpace, dirs: tuple[str, ...],
                     min_interval: float = 0.0) -> RefinementPlan:
     """Per flagged B-spline and direction: one midpoint segment for every
     local knot interval, spanning the full orthogonal support."""
@@ -397,7 +384,7 @@ def plan_structured(flagged_b: list[int], space: LRSpace, dirs: tuple[str, ...],
     return plan
 
 
-def plan_restricted(flagged_b: list[int], space: LRSpace, acc: AccuracyLedger,
+def plan_restricted(flagged_b, space: LRSpace, acc: AccuracyLedger,
                     dirs: tuple[str, ...], thresholds: frozenset, cuts: Cutoffs,
                     min_interval: float = 0.0) -> RefinementPlan:
     """As :func:`plan_structured`, but a knot interval is refined only when
@@ -407,24 +394,20 @@ def plan_restricted(flagged_b: list[int], space: LRSpace, acc: AccuracyLedger,
     plan = RefinementPlan()
     keys = space.keys_sorted()
     _, b2e = space.overlap_maps()
-    els = space.elements()
+    bounds = space.element_bounds()
+    mids = {U: (bounds[:, 0] + bounds[:, 1]) / 2.0, V: (bounds[:, 2] + bounds[:, 3]) / 2.0}
     for bi in flagged_b:
         key = keys[bi]
         eids = b2e[bi]
         for axis in dirs:
             _, _, o0, o1 = _support_ranges(space, key, axis)
+            mid = mids[axis][eids]
             for a, b in _local_intervals(space, key, axis):
                 if not _wide_enough(a, b, min_interval):
                     continue
-                n_out = 0
-                max_d = 0.0
-                for e in eids:
-                    d0, d1, _, _ = _axis_ranges(els[int(e)].bounds(space), axis)
-                    mid = (d0 + d1) / 2.0
-                    if a < mid < b:
-                        st = acc.per_element[int(e)]
-                        n_out += st.n_out
-                        max_d = max(max_d, st.max_dist)
+                strip = eids[(a < mid) & (mid < b)]
+                n_out = acc.n_out[strip].sum()
+                max_d = acc.max_dist[strip].max(initial=0.0)
                 take = False
                 if "tk" in thresholds:
                     take = n_out > cuts.tk
@@ -441,35 +424,21 @@ def plan_element_extension(plan: RefinementPlan, space: LRSpace,
                            acc: AccuracyLedger, dirs: tuple[str, ...],
                            cuts: Cutoffs,
                            min_interval: float = 0.0) -> RefinementPlan:
-    """Supplementary full-span splits for significant elements that the base
-    restricted plan leaves uncut; each direction is judged individually."""
-    scores = element_scores(acc)
-    significant = [e for e, s in enumerate(acc.per_element)
-                   if s.n_out >= 1 and scores[e] > cuts.tn]
-    e2b, _ = space.overlap_maps()
-    keys = space.keys_sorted()
-    for e in significant:
-        bounds = _element_bounds(space, e)
-        for axis in dirs:
-            d0, d1, o0, o1 = _axis_ranges(bounds, axis)
-            if not _wide_enough(d0, d1, min_interval):
-                continue
-            if plan.splits_element(axis, d0, d1, o0, o1):
-                continue
-            lo, hi = o0, o1
-            for bi in e2b[e]:
-                _, _, s0, s1 = _support_ranges(space, keys[bi], axis)
-                lo = min(lo, s0)
-                hi = max(hi, s1)
-            plan.add(PlanSegment(axis, (d0 + d1) / 2.0, lo, hi))
+    """Supplementary full-span splits for significant (tn-flagged) elements
+    that the plan so far leaves uncut; each direction is judged
+    individually."""
+    significant = flagged_elements(acc, frozenset({"tn"}), cuts)
+    for axis, ranges, seg in _full_spans(space, significant, dirs, min_interval):
+        if not plan.splits_element(axis, *ranges):
+            plan.add(seg)
     return plan
 
 
 def build_plan(spec: StrategySpec, space: LRSpace, acc: AccuracyLedger,
-               dirs: tuple[str, ...], state: ThresholdState, iteration: int,
+               dirs: tuple[str, ...], iteration: int,
                min_interval: float = 0.0) -> RefinementPlan:
     """One iteration's refinement plan for the given strategy."""
-    cuts = compute_thresholds(acc, state, iteration, space)
+    cuts = compute_thresholds(acc, iteration, space)
     if spec.trigger == "e":
         flagged = flagged_elements(acc, spec.thresholds, cuts)
         if spec.kind == "F":

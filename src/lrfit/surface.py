@@ -138,17 +138,6 @@ def assign_points(surface: LRSurface, cloud: PointCloud) -> Assignment:
 
 
 @dataclass
-class ElementStats:
-    """Distance statistics for the points inside one element."""
-
-    n_points: int = 0
-    n_out: int = 0
-    max_dist: float = 0.0
-    sum_dist: float = 0.0
-    sum_out_dist: float = 0.0
-
-
-@dataclass
 class GlobalStats:
     max_dist: float
     avg_dist: float
@@ -161,22 +150,30 @@ class GlobalStats:
 class AccuracyLedger:
     """Per-element and aggregated accuracy of a surface against a cloud.
 
-    A point whose distance equals the tolerance exactly counts as inside.
+    The per-element arrays are indexed by element id: point count,
+    out-of-tolerance count, largest distance (0 for an empty element), and
+    the sums of all distances and of the out-of-tolerance ones.  A point
+    whose distance equals the tolerance exactly counts as inside.
     """
 
     tolerance: float
-    per_element: list[ElementStats]
     distances: np.ndarray = field(repr=False)
+    n_points: np.ndarray = field(repr=False)
+    n_out: np.ndarray = field(repr=False)
+    max_dist: np.ndarray = field(repr=False)
+    sum_dist: np.ndarray = field(repr=False)
+    sum_out_dist: np.ndarray = field(repr=False)
 
     @property
     def global_stats(self) -> GlobalStats:
-        n_pts = sum(s.n_points for s in self.per_element)
-        n_out = sum(s.n_out for s in self.per_element)
-        max_d = max((s.max_dist for s in self.per_element), default=0.0)
-        sum_d = sum(s.sum_dist for s in self.per_element)
-        sum_od = sum(s.sum_out_dist for s in self.per_element)
+        n_pts = int(self.n_points.sum())
+        n_out = int(self.n_out.sum())
+        # sequential sums in element order as Python floats, not numpy's
+        # pairwise ones: avg_out_dist feeds the td cutoff to the last bit
+        sum_d = sum(self.sum_dist.tolist())
+        sum_od = sum(self.sum_out_dist.tolist())
         return GlobalStats(
-            max_dist=max_d,
+            max_dist=max(self.max_dist.tolist(), default=0.0),
             avg_dist=sum_d / n_pts if n_pts else 0.0,
             avg_out_dist=sum_od / n_out if n_out else 0.0,
             n_out=n_out,
@@ -196,18 +193,15 @@ def compute_accuracy(surface: LRSurface, cloud: PointCloud, assignment: Assignme
     out = d > tolerance
     eid = assignment.element_of
     n_el = len(surface.space.elements())
-    n_points = np.bincount(eid, minlength=n_el)
-    n_out = np.bincount(eid[out], minlength=n_el)
-    sum_d = np.bincount(eid, weights=d, minlength=n_el)
-    sum_od = np.bincount(eid[out], weights=d[out], minlength=n_el)
     max_d = np.zeros(n_el)
     np.maximum.at(max_d, eid, d)
-    per_element = [
-        ElementStats(int(n_points[i]), int(n_out[i]), float(max_d[i]),
-                     float(sum_d[i]), float(sum_od[i]))
-        for i in range(n_el)
-    ]
-    return AccuracyLedger(tolerance=tolerance, per_element=per_element, distances=d)
+    return AccuracyLedger(
+        tolerance=tolerance, distances=d,
+        n_points=np.bincount(eid, minlength=n_el),
+        n_out=np.bincount(eid[out], minlength=n_el),
+        max_dist=max_d,
+        sum_dist=np.bincount(eid, weights=d, minlength=n_el),
+        sum_out_dist=np.bincount(eid[out], weights=d[out], minlength=n_el))
 
 
 def approximation_efficiency(n_resolved: int, n_coeff: int) -> float:

@@ -71,6 +71,34 @@ class TestFailureExits:
         assert cli_main(["fit", "--points", path, "--tolerance", "0.5"]) == 4
         assert "point 1234 (0-based), column z" in capsys.readouterr().err
 
+    def test_non_finite_tolerance_fit_exit(self, cloud_file, tmp_path, capsys):
+        out = tmp_path / "s.lrb"
+        for tol in ("nan", "inf"):
+            assert cli_main(["fit", "--points", cloud_file, "--tolerance", tol,
+                             "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert f"tolerance must be positive and finite, got {float(tol)!r}" in err
+        assert cli_main(["fit", "--points", cloud_file, "--tolerance", "0.6",
+                         "--min-interval", "nan", "--out", str(out)]) == 4
+        assert "min_interval must be non-negative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_tolerance_report_exit(self, cloud_file, tmp_path, capsys):
+        from lrfit.driver import RunConfig, make_initial_surface
+        from lrfit.io import read_points, write_surface
+
+        surface, _ = make_initial_surface(read_points(cloud_file), RunConfig(tolerance=0.6))
+        path = str(tmp_path / "s.lrb")
+        write_surface(surface, path)
+        argv = ["report", "--surface", path, "--points", cloud_file, "--tolerance"]
+        assert cli_main(argv + ["0.6"]) == 0
+        capsys.readouterr()
+        for tol in ("nan", "inf", "0"):
+            assert cli_main(argv + [tol]) == 4
+            captured = capsys.readouterr()
+            assert f"tolerance must be positive and finite, got {float(tol)!r}" in captured.err
+            assert "n_out=" not in captured.out
+
     def test_fit_failure_mid_run_keeps_partial_outputs(self, cloud_file, tmp_path,
                                                        monkeypatch, capsys):
         import lrfit.driver

@@ -29,8 +29,14 @@ def wavy_cloud(n=20_000, seed=4):
 
 class TestConfigValidation:
     def test_bad_tolerance(self):
-        with pytest.raises(InputError):
-            RunConfig(tolerance=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InputError, match=f"positive and finite, got {tol!r}"):
+                RunConfig(tolerance=tol)
+
+    def test_bad_min_interval(self):
+        for value in (-5.0, float("nan")):
+            with pytest.raises(InputError, match=f"non-negative, got {value!r}"):
+                RunConfig(tolerance=1.0, min_interval=value)
 
     def test_bad_degree(self):
         with pytest.raises(InputError):

@@ -123,31 +123,44 @@ def gram_1d(knots, degree, order):
 def per_element_smoothing(space):
     """The thin-plate matrix assembled element by element: a dense block of
     all B-splines on each element from its own Gauss points, summed into a
-    COO matrix."""
+    COO matrix.  The 1-D factors are memoized per direction, local knot
+    indices and element interval."""
     p1, p2 = space.degrees
     w_twist = 2.0 if min(p1, p2) >= 2 else 0.0
     keys, scales = space.keys_sorted(), space.scale_array()
     e2b, _ = space.overlap_maps()
-    u_max, v_max = float(space.u[-1]), float(space.v[-1])
+    tables = (space.u, space.v)
+    gauss = [np.polynomial.legendre.leggauss(p + 1) for p in (p1, p2)]
+    # a (element, B-spline) block lists the element's points u-major
+    spread = (lambda f: np.repeat(f, p2 + 1), lambda f: np.tile(f, p1 + 1))
+    factors = {}
+
+    def factor(d, loc, i0, i1):
+        """Value, first and second derivative of the direction-``d`` B-spline
+        with local knot indices ``loc`` at the Gauss points of ``[i0, i1]``,
+        spread over the element's points."""
+        key = (d, loc, i0, i1)
+        if key not in factors:
+            table, p = tables[d], space.degrees[d]
+            lo, hi = table[i0], table[i1]
+            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gauss[d][0]
+            t, x_max = table[list(loc)], float(table[-1])
+            factors[key] = [spread[d](f) for f in [basis_value(t, p, x, x_max)] + [
+                basis_deriv(t, p, x, k, x_max) for k in (1, 2)]]
+        return factors[key]
+
     ii, jj, vv = [], [], []
-    for e, el in enumerate(space.elements()):
+    bounds = space.element_bounds()
+    for e, (iu0, iu1, iv0, iv1) in enumerate(space.elements().tolist()):
         bids = np.asarray(e2b[e])
-        u0, u1, v0, v1 = el.bounds(space)
-        xu, wu = np.polynomial.legendre.leggauss(p1 + 1)
-        xv, wv = np.polynomial.legendre.leggauss(p2 + 1)
-        gu, wu = 0.5 * (u0 + u1) + 0.5 * (u1 - u0) * xu, 0.5 * (u1 - u0) * wu
-        gv, wv = 0.5 * (v0 + v1) + 0.5 * (v1 - v0) * xv, 0.5 * (v1 - v0) * wv
-        wg = np.outer(wu, wv).ravel()
-        uu, vq = np.repeat(gu, len(gv)), np.tile(gv, len(gu))
+        u0, u1, v0, v1 = bounds[e]
+        wg = np.outer(0.5 * (u1 - u0) * gauss[0][1], 0.5 * (v1 - v0) * gauss[1][1]).ravel()
         rows = [[], [], []]
         for bi in bids:
-            tu, tv = space.local_knot_values(keys[bi])
-            bu = [basis_value(tu, p1, uu, u_max)] + [
-                basis_deriv(tu, p1, uu, k, u_max) for k in (1, 2)]
-            bv = [basis_value(tv, p2, vq, v_max)] + [
-                basis_deriv(tv, p2, vq, k, v_max) for k in (1, 2)]
-            for r, (ku, kv) in zip(rows, [(2, 0), (1, 1), (0, 2)]):
-                r.append(scales[bi] * bu[ku] * bv[kv])
+            ku, kv = keys[bi]
+            bu, bv = factor(0, ku, iu0, iu1), factor(1, kv, iv0, iv1)
+            for r, (du, dv) in zip(rows, [(2, 0), (1, 1), (0, 2)]):
+                r.append(scales[bi] * bu[du] * bv[dv])
         duu, duv, dvv = (np.array(r) for r in rows)
         wloc = (duu * wg) @ duu.T + w_twist * (duv * wg) @ duv.T + (dvv * wg) @ dvv.T
         ii.append(np.repeat(bids, len(bids)))
@@ -235,7 +248,7 @@ class TestFitStep:
         x = rng.uniform(0, 1, n)
         y = rng.uniform(0, 1, n)
         cloud = PointCloud(np.c_[x, y, np.sin(4 * x) + y])
-        cfg = FitConfig(lsq_iterations=2)
+        cfg = FitConfig()
         for it in range(4):
             coeffs = fit_step(space, cloud, cfg, it)
             assert np.array_equal(coeffs, space.coeff_array())

@@ -159,14 +159,14 @@ class TestRandomRefinement:
     @settings(max_examples=15, deadline=None)
     def test_elements_match_sweep_oracle(self, seed):
         sp = random_refined_space(seed, (2, 2), n_insertions=6)
-        ours = {(e.iu0, e.iu1, e.iv0, e.iv1) for e in sp.elements()}
+        ours = {tuple(e) for e in sp.elements().tolist()}
         assert ours == element_boxes_oracle(sp)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_element_order_deterministic(self, seed):
         sp = random_refined_space(seed, (1, 2), n_insertions=6)
-        order = [(e.iv0, e.iu0) for e in sp.elements()]
+        order = [(iv0, iu0) for iu0, _, iv0, _ in sp.elements().tolist()]
         assert order == sorted(order)
 
     def test_coefficient_count_growth(self):
@@ -206,9 +206,8 @@ def test_overlap_maps_consistent():
     # every element overlaps (p1+1)(p2+1) or more B-splines? Not in LR
     # meshes generally; but at least one, and support boxes must contain it
     keys = sp.keys_sorted()
-    for e, el in enumerate(sp.elements()):
+    for e, (u0, u1, v0, v1) in enumerate(sp.element_bounds()):
         assert e2b[e]
-        u0, u1, v0, v1 = el.bounds(sp)
         for bi in e2b[e]:
             su0, su1, sv0, sv1 = sp.support_values(keys[bi])
             assert su0 <= u0 and su1 >= u1 and sv0 <= v0 and sv1 >= v1
