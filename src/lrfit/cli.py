@@ -7,7 +7,13 @@ unfitted start surface and no rows when the initial fit fails).
 
 ``--tolerance`` (``fit`` and ``report``) must be positive and finite, and
 ``--min-interval`` non-negative (``0``, the default, sets no limit); NaN is
-rejected for both with exit code 4.
+rejected for both with exit code 4.  ``synth --noise`` must be finite and
+non-negative, and ``--outlier-fraction`` in [0, 1]; other values exit with 4.
+
+Point files (``--points``) hold one ``x y z`` triple per line, separated by
+whitespace or commas; ``#`` starts a comment, blank lines are skipped.  A line
+without exactly three numbers exits with 4 and names its 1-based line number;
+a file with fewer than three points also exits with 4.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ import numpy as np
 from .driver import (EXIT_INPUT_ERROR, EXIT_RUN_ABORTED, InputError, RunAborted,
                      RunConfig, StagePredicate, check_tolerance, run)
 from .fitting import FitError
-from .io import (FormatError, gen_synthetic, read_points, read_surface,
-                 sample_raster, write_points, write_report, write_surface,
-                 write_truth_sidecar)
+from .io import (FormatError, check_noise, check_outlier_fraction, gen_synthetic,
+                 read_points, read_surface, sample_raster, write_points,
+                 write_report, write_surface, write_truth_sidecar)
 from .mesh import MeshError
 from .strategy import LabelError
 from .surface import DomainError
@@ -116,8 +122,12 @@ def build_parser() -> _Parser:
                          choices=["dunes", "peaks", "scanlines", "steps"])
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--n", type=int, default=100_000)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--outlier-fraction", type=float, default=0.0)
+    p_synth.add_argument("--noise", type=float, default=0.0,
+                         help="standard deviation of Gaussian height noise in "
+                              "meters, finite and non-negative")
+    p_synth.add_argument("--outlier-fraction", type=float, default=0.0,
+                         help="share of points displaced far off the surface, "
+                              "in [0, 1]")
     p_synth.add_argument("--out", required=True, help="xyz output path")
     p_synth.add_argument("--truth", help="sidecar path for the ground truth")
 
@@ -191,6 +201,13 @@ def _write_fit_outputs(args, surface, ledger, aborted: str | None = None) -> Non
 
 
 def _cmd_synth(args) -> int:
+    for option, check, value in (("--noise", check_noise, args.noise),
+                                 ("--outlier-fraction", check_outlier_fraction,
+                                  args.outlier_fraction)):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise InputError(f"{option}: {exc}") from exc
     cloud = gen_synthetic(args.kind, args.seed, args.n, args.noise,
                           args.outlier_fraction)
     write_points(cloud, args.out)

@@ -8,7 +8,8 @@ ESRI-ASCII-style grid raster.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import warnings
 
 import numpy as np
 
@@ -29,7 +30,27 @@ class FormatError(ValueError):
 
 def read_points(path: str) -> PointCloud:
     """Read whitespace- or comma-separated ``x y z`` triples; ``#`` starts a
-    comment; parse errors report the 1-based line number."""
+    comment; parse errors report the 1-based line number.
+
+    ``np.loadtxt`` parses the file in C; its array is kept only when it has
+    three columns and at least three rows.  Anything else (commas, tokens
+    that only Python's ``float`` accepts such as ``1_0``, every malformed
+    file) goes through the line loop, which gives the same values and owns
+    every error message."""
+    with open(path) as fh:
+        try:
+            with warnings.catch_warnings():
+                # an empty or comment-only file warns; the loop reports it
+                warnings.simplefilter("ignore", UserWarning)
+                xyz = np.loadtxt(fh, comments="#", ndmin=2)
+        except ValueError:
+            xyz = None
+    if xyz is None or xyz.shape[1] != 3 or len(xyz) < 3:
+        xyz = _parse_point_lines(path)
+    return PointCloud(xyz)
+
+
+def _parse_point_lines(path: str) -> np.ndarray:
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -46,13 +67,27 @@ def read_points(path: str) -> PointCloud:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
     if len(rows) < 3:
         raise FormatError(f"{path}: need at least 3 points, got {len(rows)}")
-    return PointCloud(np.array(rows))
+    return np.array(rows)
+
+
+#: rows formatted per write; one string for a whole 1M-point cloud would
+#: triple the writer's peak memory
+WRITE_BLOCK = 65_536
+
+
+def _write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
+    """Write ``row_format`` for every row of ``columns``, one joined string per
+    block of ``WRITE_BLOCK`` rows.  ``tolist`` gives Python floats, whose
+    ``!r`` is the shortest decimal that reads back to the same float."""
+    fmt = row_format.format
+    for start in range(0, len(columns[0]), WRITE_BLOCK):
+        block = [col[start:start + WRITE_BLOCK].tolist() for col in columns]
+        fh.write("".join(map(fmt, *block)))
 
 
 def write_points(cloud: PointCloud, path: str) -> None:
     with open(path, "w") as fh:
-        for x, y, z in cloud.xyz:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+        _write_rows(fh, "{!r} {!r} {!r}\n", cloud.x, cloud.y, cloud.z)
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +282,19 @@ def _steps_height(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 5.0 * np.floor(x / 180.0) + 3.0 * np.floor(y / 260.0)
 
 
+def check_noise(noise: float) -> None:
+    """Reject a noise level that is not finite and non-negative; ``noise > 0``
+    is false for NaN, so a NaN level would write the noise-free cloud."""
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
+
+
+def check_outlier_fraction(fraction: float) -> None:
+    """Reject an outlier fraction outside [0, 1] (NaN included)."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"outlier_fraction must be in [0, 1], got {fraction!r}")
+
+
 def gen_synthetic(kind: str, seed: int, n_points: int, noise: float = 0.0,
                   outlier_fraction: float = 0.0) -> PointCloud:
     """Deterministic synthetic test cloud on a 1000 m square.
@@ -260,6 +308,8 @@ def gen_synthetic(kind: str, seed: int, n_points: int, noise: float = 0.0,
         raise ValueError(f"unknown synthetic kind {kind!r} (expected one of {KINDS})")
     if n_points < 100:
         raise ValueError("synthetic clouds need n_points >= 100")
+    check_noise(noise)
+    check_outlier_fraction(outlier_fraction)
     rng = np.random.default_rng(seed)
     if kind == "scanlines":
         n_lines = max(int(np.sqrt(n_points) / 2), 4)
@@ -296,5 +346,5 @@ def write_truth_sidecar(cloud: PointCloud, path: str) -> None:
     z_true = cloud.truth(cloud.x, cloud.y)
     with open(path, "w") as fh:
         fh.write("# x y z_true is_outlier\n")
-        for x, y, zt, flag in zip(cloud.x, cloud.y, z_true, cloud.outliers):
-            fh.write(f"{float(x)!r} {float(y)!r} {float(zt)!r} {int(flag)}\n")
+        _write_rows(fh, "{!r} {!r} {!r} {:d}\n", cloud.x, cloud.y, z_true,
+                    np.asarray(cloud.outliers).astype(np.int64))

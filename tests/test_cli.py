@@ -193,6 +193,19 @@ class TestPipelines:
         assert "n_out=0" in out
         assert cli_main(["roundtrip-check", "--surface", surf_path]) == 0
 
+    def test_synth_rejects_bad_noise_and_outlier_fraction(self, tmp_path, capsys):
+        pts = tmp_path / "p.xyz"
+        argv = ["synth", "--kind", "scanlines", "--n", "200", "--out", str(pts)]
+        for option, value, message in (
+                ("--noise", "nan", "noise must be finite and >= 0, got nan"),
+                ("--noise", "-1", "noise must be finite and >= 0, got -1.0"),
+                ("--noise", "inf", "noise must be finite and >= 0, got inf"),
+                ("--outlier-fraction", "5", "outlier_fraction must be in [0, 1], got 5.0"),
+                ("--outlier-fraction", "nan", "outlier_fraction must be in [0, 1], got nan")):
+            assert cli_main(argv + [option, value]) == 4
+            assert f"{option}: {message}" in capsys.readouterr().err
+            assert not pts.exists()
+
     def test_synth_truth_sidecar(self, tmp_path):
         pts = str(tmp_path / "p.xyz")
         truth = str(tmp_path / "t.txt")

@@ -3,9 +3,16 @@
 import copy
 import json
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import lrfit.io
 
 from lrfit.driver import RunConfig, run
 from lrfit.io import (REPORT_HEADER, FormatError, gen_synthetic, read_points,
@@ -49,6 +56,199 @@ class TestReadPoints:
         write_points(cloud, str(p))
         again = read_points(str(p))
         assert np.array_equal(cloud.xyz, again.xyz)
+
+    def test_empty_and_comment_only_files(self, tmp_path):
+        p = tmp_path / "a.xyz"
+        for text in ("", "# header\n\n  # note\n"):
+            p.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FormatError, match="need at least 3 points, got 0"):
+                    read_points(str(p))
+
+    def test_consistent_two_columns(self, tmp_path):
+        p = tmp_path / "a.xyz"
+        p.write_text("0 0\n1 0\n2 1\n3 1\n")
+        with pytest.raises(FormatError, match=":1: expected 3 values, got 2"):
+            read_points(str(p))
+
+    def test_line_loop_only_when_needed(self, tmp_path, monkeypatch):
+        """Plain whitespace triples never reach the line loop; commas and
+        tokens that only Python's ``float`` reads do, and still parse."""
+        loop = lrfit.io._parse_point_lines
+        calls = []
+        monkeypatch.setattr(lrfit.io, "_parse_point_lines",
+                            lambda path: calls.append(path) or loop(path))
+        p = tmp_path / "a.xyz"
+        p.write_text("# x y z\n0 0 1\n1\t0 2 # note\r\n\n2 0 -0.0\n")
+        assert read_points(str(p)).z.tolist() == [1.0, 2.0, -0.0]
+        assert calls == []
+        for text, z in (("0,0,1\n1,0,2\n2,0,3\n", 3.0), ("0 0 1\n1 0 2\n2 0 1_0\n", 10.0),
+                        ("0 0 1\n1 0 2\n2 0 \u0661\u0662\n", 12.0)):
+            p.write_text(text, encoding="utf-8")
+            assert read_points(str(p)).z[-1] == z
+        assert len(calls) == 3
+
+
+def read_points_by_lines(path):
+    """Oracle: the line loop that parsed every point file before the
+    ``np.loadtxt`` fast path."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.replace(",", " ").split()
+            if len(parts) != 3:
+                raise FormatError(f"{path}:{lineno}: expected 3 values, "
+                                  f"got {len(parts)}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    if len(rows) < 3:
+        raise FormatError(f"{path}: need at least 3 points, got {len(rows)}")
+    return np.array(rows)
+
+
+def write_points_by_rows(cloud, path):
+    """Oracle: the per-row point writer."""
+    with open(path, "w") as fh:
+        for x, y, z in cloud.xyz:
+            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+
+
+def write_truth_sidecar_by_rows(cloud, path):
+    """Oracle: the per-row truth sidecar writer."""
+    z_true = cloud.truth(cloud.x, cloud.y)
+    with open(path, "w") as fh:
+        fh.write("# x y z_true is_outlier\n")
+        for x, y, zt, flag in zip(cloud.x, cloud.y, z_true, cloud.outliers):
+            fh.write(f"{float(x)!r} {float(y)!r} {float(zt)!r} {int(flag)}\n")
+
+
+def outcome(read, path):
+    """An array, or the type and message of the exception raised."""
+    try:
+        return read(path)
+    except Exception as exc:  # noqa: BLE001 - the oracle's failure is compared too
+        return type(exc), str(exc)
+
+
+def same_values(a, b):
+    """Equal arrays, NaN at the same places and equal sign bits (``-0.0``,
+    ``-nan``)."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+#: tokens both parsers read, with edge values among them
+PLAIN_TOKENS = ["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "-0.0", "0", "+1",
+                ".5", "5.", "1E5", "1e-320", "4.9e-324", "1e400", "-1e400",
+                "1.7976931348623157e308", "123456789012345678901234567890"]
+#: tokens only Python's ``float`` reads, and tokens neither reads
+ODD_TOKENS = ["1_0", "1.0e+0_1", "\u0661\u0662", "0x10", "1d3", '"1"', "1.5f",
+              "1e", "1__0", "nan(1)", "\ufeff1", "1;", "-", ""]
+SEPARATORS = [" ", "\t", "  ", " \t", ",", ", ", " ,"]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_files(draw):
+    """Point-file text: whitespace triples, which the fast path takes, with
+    commas, odd tokens or 2- and 4-value rows switched on independently;
+    those files go through the line loop."""
+    commas, odd, ragged = (draw(st.booleans()) for _ in range(3))
+    token = st.one_of(FINITE.map(repr), st.integers(-10**6, 10**6).map(str),
+                      st.sampled_from(PLAIN_TOKENS))
+    if odd:
+        token = st.one_of(token, st.sampled_from(ODD_TOKENS))
+    sep = st.sampled_from(SEPARATORS if commas else SEPARATORS[:4])
+    width = st.sampled_from([3, 3, 3, 2, 4]) if ragged else st.just(3)
+    end = st.sampled_from(["\n", "\r\n"])
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            body = draw(st.sampled_from(["", " ", "\t", "  \t "]))
+        elif kind == "comment":
+            body = draw(st.sampled_from(["", "  "])) + "# " + draw(st.sampled_from(
+                ["x y z", "1 2 3", "", "#", "a,b"]))
+        else:
+            tokens = [draw(token) for _ in range(draw(width))]
+            body = draw(st.sampled_from(["", " "]))
+            for i, tok in enumerate(tokens):
+                body += (draw(sep) if i else "") + tok
+            body += draw(st.sampled_from(["", " ", "\t", " # note", "#1 2 3"]))
+        lines.append(body + draw(end))
+    last_end = draw(st.booleans())
+    text = "".join(lines)
+    if lines and not last_end:
+        text = text.rstrip("\r\n")
+    return text
+
+
+class TestPointFileOracles:
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("points")
+
+    @given(text=point_files())
+    @settings(max_examples=300, deadline=None)
+    def test_read_points_matches_line_loop(self, scratch, text):
+        path = scratch / "p.xyz"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = outcome(lambda p: read_points(p).xyz, str(path))
+        expected = outcome(read_points_by_lines, str(path))
+        if isinstance(expected, tuple):
+            assert ours == expected
+        else:
+            assert isinstance(ours, np.ndarray) and same_values(ours, expected)
+
+    @given(xyz=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
+                      elements=st.one_of(st.floats(allow_nan=False),
+                                         st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310,
+                                                          1e300, -1e-300, 1e308]))))
+    @settings(max_examples=200, deadline=None)
+    def test_write_points_matches_row_writer(self, scratch, xyz):
+        cloud = PointCloud(xyz)
+        ours, expected = scratch / "w.xyz", scratch / "w-rows.xyz"
+        with mock.patch.object(lrfit.io, "WRITE_BLOCK", 7):
+            write_points(cloud, str(ours))
+        write_points_by_rows(cloud, str(expected))
+        assert ours.read_bytes() == expected.read_bytes()
+        if len(xyz) >= 3:
+            assert same_values(read_points(str(ours)).xyz, xyz)
+
+    def test_write_points_longer_than_a_block(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = lrfit.io.WRITE_BLOCK + 5
+        xyz = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+        special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, 1e300, -1e-300]
+        xyz[rng.integers(0, n, 64), rng.integers(0, 3, 64)] = rng.choice(special, 64)
+        cloud = PointCloud(xyz)
+        ours, expected = tmp_path / "w.xyz", tmp_path / "w-rows.xyz"
+        write_points(cloud, str(ours))
+        write_points_by_rows(cloud, str(expected))
+        assert ours.read_bytes() == expected.read_bytes()
+        assert same_values(read_points(str(ours)).xyz, xyz)
+
+    def test_truth_sidecar_matches_row_writer(self, tmp_path):
+        cloud = gen_synthetic("scanlines", 3, lrfit.io.WRITE_BLOCK + 5,
+                              outlier_fraction=0.01)
+        small = PointCloud(np.array([[0.0, -0.0, 1.0], [5e-324, 1e300, 2.0],
+                                     [-1e-300, 3.0, 4.0]]))
+        small.truth = lambda x, y: np.array([-0.0, 1e-310, np.inf])
+        small.outliers = np.array([True, False, True])
+        for c in (cloud, small):
+            ours, expected = tmp_path / "t.txt", tmp_path / "t-rows.txt"
+            write_truth_sidecar(c, str(ours))
+            write_truth_sidecar_by_rows(c, str(expected))
+            assert ours.read_bytes() == expected.read_bytes()
 
 
 class TestSurfaceDocument:
@@ -225,6 +425,19 @@ class TestSynthetic:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             gen_synthetic("dunes", 1, 50)
+
+    def test_bad_noise_and_outlier_fraction(self):
+        for noise in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"noise must be finite and >= 0, got {noise!r}")):
+                gen_synthetic("dunes", 1, 200, noise=noise)
+        for fraction in (5.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"outlier_fraction must be in [0, 1], got {fraction!r}")):
+                gen_synthetic("scanlines", 1, 200, outlier_fraction=fraction)
+        # the ends of both ranges stay valid
+        cloud = gen_synthetic("scanlines", 1, 200, noise=0.0, outlier_fraction=1.0)
+        assert cloud.outliers.all()
 
     def test_scanlines_outlier_count(self, tmp_path):
         cloud = gen_synthetic("scanlines", 2, 10_000, outlier_fraction=0.0013)
