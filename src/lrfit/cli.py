@@ -9,23 +9,27 @@ unfitted start surface and no rows when the initial fit fails).
 ``--min-interval`` non-negative (``0``, the default, sets no limit); NaN is
 rejected for both with exit code 4.  ``synth --noise`` must be finite and
 non-negative, and ``--outlier-fraction`` in [0, 1]; other values exit with 4.
+So does an ``--intermediate`` cap that is NaN, infinite or negative.
 
 Point files (``--points``) hold one ``x y z`` triple per line, separated by
 whitespace or commas; ``#`` starts a comment, blank lines are skipped.  A line
 without exactly three numbers exits with 4 and names its 1-based line number;
-a file with fewer than three points also exits with 4.
+a file with fewer than three points also exits with 4.  ``fit`` and
+``report`` exit with 4 on a NaN or infinite coordinate and name its point
+(0-based) and column.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from .driver import (EXIT_INPUT_ERROR, EXIT_RUN_ABORTED, InputError, RunAborted,
-                     RunConfig, StagePredicate, check_tolerance, run)
+                     RunConfig, StagePredicate, check_finite, check_tolerance, run)
 from .fitting import FitError
 from .io import (FormatError, check_noise, check_outlier_fraction, gen_synthetic,
                  read_points, read_surface, sample_raster, write_points,
@@ -49,6 +53,10 @@ class SystemExit_(Exception):
         self.message = message
 
 
+#: stage clause quantity -> the StagePredicate cap it sets
+_STAGE_CAPS = {"out": "max_out_fraction", "max": "max_dist_cap", "avgout": "avg_out_cap"}
+
+
 def parse_stage(text: str) -> StagePredicate:
     """Parse a milestone like ``"out<=0.1%,max<=2"`` (AND) or the same with
     ``|`` between clauses (OR); clauses: out<=PCT%, max<=M, avgout<=M."""
@@ -67,19 +75,20 @@ def parse_stage(text: str) -> StagePredicate:
         name = name.strip()
         val = val.strip()
         try:
-            if name == "out":
-                if not val.endswith("%"):
-                    raise ValueError("out cap is a percentage, e.g. out<=0.1%")
-                stage.max_out_fraction = float(val[:-1]) / 100.0
-            elif name == "max":
-                stage.max_dist_cap = float(val)
-            elif name == "avgout":
-                stage.avg_out_cap = float(val)
-            else:
+            if name not in _STAGE_CAPS:
                 raise ValueError(f"unknown stage quantity {name!r}")
+            if name == "out" and not val.endswith("%"):
+                raise ValueError("out cap is a percentage, e.g. out<=0.1%")
+            cap = float(val[:-1] if name == "out" else val)
         except ValueError as exc:
             raise SystemExit_(EXIT_INPUT_ERROR,
                               f"intermediate stage: {exc}") from exc
+        # a NaN cap is never reached, and no count or distance is negative
+        if not (math.isfinite(cap) and cap >= 0.0):
+            raise SystemExit_(EXIT_INPUT_ERROR,
+                              f"intermediate stage clause {clause!r}: the cap must be "
+                              f"finite and non-negative, got {cap!r}")
+        setattr(stage, _STAGE_CAPS[name], cap / 100.0 if name == "out" else cap)
     return stage
 
 
@@ -230,6 +239,7 @@ def _cmd_report(args) -> int:
     check_tolerance(args.tolerance)
     surface = read_surface(args.surface)
     cloud = read_points(args.points)
+    check_finite(cloud)
     assignment = assign_points(surface, cloud)
     acc = compute_accuracy(surface, cloud, assignment, args.tolerance)
     g = acc.global_stats

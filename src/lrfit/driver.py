@@ -185,7 +185,7 @@ def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
     return surface, assignment
 
 
-def _check_finite(cloud: PointCloud) -> None:
+def check_finite(cloud: PointCloud) -> None:
     """Reject NaN or infinite coordinates, naming the first bad one."""
     bad = ~np.isfinite(cloud.xyz)
     if bad.any():
@@ -200,7 +200,7 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
     Raises :class:`InputError` for unusable input and :class:`RunAborted`,
     carrying the last surface and the ledger so far, when a fit fails.
     """
-    _check_finite(cloud)
+    check_finite(cloud)
     ledger = RunLedger()
     spec = parse_label(cfg.strategy)
     colloc = Collocation(cloud)

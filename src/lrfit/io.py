@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .driver import RunLedger
-from .mesh import LRSpace, MeshError, MeshSegment, U, V
+from .mesh import SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, U, V
 from .surface import LRSurface, PointCloud
 
 SCHEMA_VERSION = 1
@@ -127,8 +127,12 @@ def read_surface(path: str) -> LRSurface:
     if version != SCHEMA_VERSION:
         raise FormatError(f"{path}: unsupported schema version {version!r} "
                           f"(this build reads version {SCHEMA_VERSION})")
+    degrees = doc.get("degrees")
+    if not (isinstance(degrees, list) and len(degrees) == 2
+            and all(type(p) is int and p in SUPPORTED_DEGREES for p in degrees)):
+        raise FormatError(f"{path}: degrees must be two values from "
+                          f"{SUPPORTED_DEGREES}, got {degrees!r}")
     try:
-        degrees = tuple(int(p) for p in doc["degrees"])
         u = np.array(doc["knots_u"], dtype=float)
         v = np.array(doc["knots_v"], dtype=float)
         segments = doc["segments"]

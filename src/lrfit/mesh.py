@@ -1,11 +1,13 @@
 """LR-mesh and spline-space core.
 
-The mesh is a box partition of a parameter rectangle described by axis
-parallel meshline segments.  Knots are stored as integer indices into two
-shared sorted tables of distinct parameter values (``u`` and ``v``), which
-makes knotline matching exact.  Interior knots always have multiplicity one;
-the open boundary multiplicity ``p + 1`` is represented by repeating the
-first / last table index in the local knot vectors.
+The mesh is a box partition of a parameter rectangle.  Knots are stored as
+integer indices into two shared sorted tables of distinct parameter values
+(``u`` and ``v``), which makes knotline matching exact.  Interior knots always
+have multiplicity one; the open boundary multiplicity ``p + 1`` is represented
+by repeating the first / last table index in the local knot vectors.  The
+meshlines are two boolean coverage arrays, one per axis, whose runs of covered
+intervals are the meshline segments.  Elements and B-spline supports are both
+``(·, 4)`` int arrays of boxes ``(iu0, iu1, iv0, iv1)`` in table indices.
 
 A tensor-product B-spline is identified by its pair of local knot index
 tuples; the space keeps a scalar height coefficient and a scaling factor per
@@ -74,8 +76,9 @@ class LRSpace:
         self.u = np.asarray(u, dtype=float)
         self.v = np.asarray(v, dtype=float)
         self.degrees = (int(degrees[0]), int(degrees[1]))
-        # (axis, fixed index) -> sorted disjoint list of merged (lo, hi) spans
-        self._segs: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        # the meshlines: see coverage()
+        self._cov = {U: np.zeros((len(self.u), len(self.v) - 1), dtype=bool),
+                     V: np.zeros((len(self.v), len(self.u) - 1), dtype=bool)}
         # (ku tuple, kv tuple) -> [scale, coeff]
         self.bsplines: dict[tuple[tuple[int, ...], tuple[int, ...]], list[float]] = {}
         self._cache: dict[str, Any] = {}
@@ -95,11 +98,29 @@ class LRSpace:
         return len(self.bsplines)
 
     def keys_sorted(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        ks = self._cache.get("keys")
-        if ks is None:
-            ks = sorted(self.bsplines)
-            self._cache["keys"] = ks
-        return ks
+        # one cache entry holds the keys and, once built, their support boxes
+        entry = self._cache.get("keys")
+        if entry is None:
+            entry = self._cache["keys"] = [sorted(self.bsplines), None]
+        return entry[0]
+
+    def support_boxes(self) -> np.ndarray:
+        """``(N, 4)`` int array of B-spline support boxes ``(iu0, iu1, iv0,
+        iv1)`` as table indices, in :meth:`keys_sorted` order."""
+        keys = self.keys_sorted()
+        entry = self._cache["keys"]
+        if entry[1] is None:
+            entry[1] = np.array([(ku[0], ku[-1], kv[0], kv[-1]) for ku, kv in keys],
+                                dtype=np.int64).reshape(-1, 4)
+        return entry[1]
+
+    def support_bounds(self) -> np.ndarray:
+        """``(N, 4)`` float array of support boxes ``(u0, u1, v0, v1)``."""
+        return self._box_values(self.support_boxes())
+
+    def _box_values(self, boxes: np.ndarray) -> np.ndarray:
+        iu0, iu1, iv0, iv1 = boxes.T
+        return np.stack([self.u[iu0], self.u[iu1], self.v[iv0], self.v[iv1]], axis=1)
 
     def scale_array(self) -> np.ndarray:
         return np.array([self.bsplines[k][0] for k in self.keys_sorted()])
@@ -112,16 +133,16 @@ class LRSpace:
             self.bsplines[k][1] = float(c)
 
     def segments(self) -> list[MeshSegment]:
+        """One segment per run of covered intervals in a coverage row: ``u``
+        before ``v``, then by fixed index and span."""
         out = []
-        for (axis, fixed), spans in sorted(self._segs.items()):
-            for lo, hi in spans:
-                out.append(MeshSegment(axis, fixed, lo, hi))
+        for axis in (U, V):
+            edge = np.diff(self._cov[axis].astype(np.int8), prepend=0, append=0, axis=1)
+            fixed, lo = np.nonzero(edge == 1)
+            hi = np.nonzero(edge == -1)[1]
+            out += [MeshSegment(axis, f, a, b)
+                    for f, a, b in zip(fixed.tolist(), lo.tolist(), hi.tolist())]
         return out
-
-    def support_values(self, key) -> tuple[float, float, float, float]:
-        ku, kv = key
-        return (float(self.u[ku[0]]), float(self.u[ku[-1]]),
-                float(self.v[kv[0]]), float(self.v[kv[-1]]))
 
     def local_knot_values(self, key) -> tuple[np.ndarray, np.ndarray]:
         ku, kv = key
@@ -135,48 +156,24 @@ class LRSpace:
 
     def coverage(self, axis: str) -> np.ndarray:
         """Boolean array ``cov[i, j]``: the constant-``axis`` line at table
-        index ``i`` covers interval ``j`` of the orthogonal table."""
-        name = "cov_" + axis
-        cov = self._cache.get(name)
-        if cov is None:
-            n_fix = len(self.table(axis))
-            n_run = len(self.table(_other(axis))) - 1
-            cov = np.zeros((n_fix, n_run), dtype=bool)
-            for (a, fixed), spans in self._segs.items():
-                if a != axis:
-                    continue
-                for lo, hi in spans:
-                    cov[fixed, lo:hi] = True
-            self._cache[name] = cov
-        return cov
+        index ``i`` covers interval ``j`` of the orthogonal table.  This is
+        the mesh's only meshline store."""
+        return self._cov[axis]
 
     def _add_span(self, axis: str, fixed: int, lo: int, hi: int) -> None:
-        spans = self._segs.setdefault((axis, fixed), [])
-        new_lo, new_hi = lo, hi
-        keep = []
-        for s_lo, s_hi in spans:
-            if s_hi < new_lo or s_lo > new_hi:
-                keep.append((s_lo, s_hi))
-            else:  # overlapping or touching: coalesce
-                new_lo = min(new_lo, s_lo)
-                new_hi = max(new_hi, s_hi)
-        keep.append((new_lo, new_hi))
-        keep.sort()
-        self._segs[(axis, fixed)] = keep
-        cov = self._cache.get("cov_" + axis)
-        if cov is not None:
-            cov[fixed, lo:hi] = True
+        self._cov[axis][fixed, lo:hi] = True
 
     def merged_extent(self, axis: str, fixed: int, lo: int, hi: int) -> tuple[int, int]:
-        """Span of the segment after coalescing with touching collinear ones."""
-        spans = self._segs.get((axis, fixed), ())
-        # stored spans never touch each other, so one pass finds every span
-        # that touches [lo, hi] and nothing else can touch the result
-        m_lo, m_hi = lo, hi
-        for s_lo, s_hi in spans:
-            if s_hi >= lo and s_lo <= hi:
-                m_lo, m_hi = min(m_lo, s_lo), max(m_hi, s_hi)
-        return m_lo, m_hi
+        """Span of the segment after coalescing with touching collinear ones:
+        ``[lo, hi]`` widened by the runs of covered intervals at its ends."""
+        row = self._cov[axis][fixed]
+        if lo > 0 and row[lo - 1]:
+            gaps = np.flatnonzero(~row[:lo - 1])
+            lo = int(gaps[-1]) + 1 if len(gaps) else 0
+        if hi < len(row) and row[hi]:
+            gaps = np.flatnonzero(~row[hi + 1:])
+            hi = hi + 1 + int(gaps[0]) if len(gaps) else len(row)
+        return lo, hi
 
     # ------------------------------------------------------------------
     # elements
@@ -193,8 +190,7 @@ class LRSpace:
 
     def element_bounds(self) -> np.ndarray:
         """``(E, 4)`` float array of element boxes ``(u0, u1, v0, v1)``."""
-        iu0, iu1, iv0, iv1 = self.elements().T
-        return np.stack([self.u[iu0], self.u[iu1], self.v[iv0], self.v[iv1]], axis=1)
+        return self._box_values(self.elements())
 
     def cell_to_element(self) -> np.ndarray:
         """int array over global grid cells mapping each cell to its element id."""
@@ -233,23 +229,28 @@ class LRSpace:
             raise MeshError("mesh does not tile the parameter rectangle")
         return np.array(els, dtype=np.int64).reshape(-1, 4), cell
 
-    def overlap_maps(self) -> tuple[list[list[int]], list[np.ndarray]]:
-        """``(elements -> B-spline ids, B-spline id -> element ids)``.
+    def overlap_maps(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """``(elements -> B-spline ids, B-spline id -> element ids)``, each a
+        list of ascending int arrays.
 
         Ids refer to :meth:`elements` and :meth:`keys_sorted` positions.
         """
         maps = self._cache.get("overlap")
         if maps is None:
-            cell = self.cell_to_element()
-            n_el = len(self.elements())
-            e2b: list[list[int]] = [[] for _ in range(n_el)]
-            b2e: list[np.ndarray] = []
-            for bi, (ku, kv) in enumerate(self.keys_sorted()):
-                sub = cell[ku[0]:ku[-1], kv[0]:kv[-1]]
-                eids = np.unique(sub)
-                b2e.append(eids)
-                for e in eids:
-                    e2b[int(e)].append(bi)
+            els = self.elements()
+            # element id at its lower-left cell, -1 elsewhere, indexed [v, u]: a
+            # support box slice holds the ids of its elements, ascending v-major
+            ll = np.full((len(self.v) - 1, len(self.u) - 1), -1, dtype=np.int64)
+            ll[els[:, 2], els[:, 0]] = np.arange(len(els))
+            b2e = []
+            for iu0, iu1, iv0, iv1 in self.support_boxes().tolist():
+                sub = ll[iv0:iv1, iu0:iu1]
+                b2e.append(sub[sub >= 0])
+            eids = np.concatenate(b2e)
+            # a stable sort keeps each element's B-splines in key order
+            order = np.argsort(eids, kind="stable")
+            bids = np.repeat(np.arange(len(b2e)), [len(e) for e in b2e])[order]
+            e2b = np.split(bids, np.cumsum(np.bincount(eids, minlength=len(els)))[:-1])
             maps = (e2b, b2e)
             self._cache["overlap"] = maps
         return maps
@@ -310,13 +311,12 @@ class LRSpace:
             self.v = merged
             self.bsplines = {(ku, tuple(int(imap[j]) for j in kv)): sp
                              for (ku, kv), sp in self.bsplines.items()}
-        new_segs: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        for (a, fixed), spans in self._segs.items():
-            if a == axis:
-                new_segs[(a, int(imap[fixed]))] = spans
-            else:
-                new_segs[(a, fixed)] = [(int(imap[lo]), int(imap[hi])) for lo, hi in spans]
-        self._segs = new_segs
+        # new lines are empty; a line across a split interval covers both halves
+        # (take keeps the row-major layout that row and column scans expect)
+        cov = np.zeros((len(merged), self._cov[axis].shape[1]), dtype=bool)
+        cov[imap] = self._cov[axis]
+        parent = np.searchsorted(table, merged[:-1], side="right") - 1
+        self._cov = {axis: cov, _other(axis): self._cov[_other(axis)].take(parent, axis=1)}
         self._touch()
 
     # ------------------------------------------------------------------
@@ -327,7 +327,6 @@ class LRSpace:
         and restoring minimal support.  Raises :class:`SegmentError` if the
         (coalesced) segment does not split any B-spline."""
         self._insert_one(_BatchState(self), seg)
-        self._touch()
 
     def try_apply_segments(self, segs: Iterable[MeshSegment]) -> tuple[int, int]:
         """Insert segments one at a time as :meth:`insert_segment` does, but
@@ -343,8 +342,6 @@ class LRSpace:
                 inserted += 1
             except SegmentError:
                 dropped += 1
-        if inserted:
-            self._touch()
         return inserted, dropped
 
     def _insert_one(self, state: "_BatchState", seg: MeshSegment) -> None:
@@ -362,8 +359,7 @@ class LRSpace:
                 f"segment {axis}={table[fixed]!r} span [{run[m_lo]!r}, {run[m_hi]!r}] "
                 "splits no B-spline")
         self._add_span(axis, fixed, lo, hi)
-        for name in ("elements", "cell", "overlap", "keys"):   # coverage is kept current
-            self._cache.pop(name, None)
+        self._touch()
         work: deque = deque()
         for key in affected:
             self._split_into(state, key, axis, fixed, work)

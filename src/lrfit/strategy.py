@@ -238,14 +238,10 @@ class RefinementPlan:
 
 
 def _axis_ranges(bounds, axis: str) -> tuple[float, float, float, float]:
-    """(d0, d1, o0, o1): element range along ``axis`` and orthogonal to it."""
+    """(d0, d1, o0, o1): range of an element or support box along ``axis``
+    and orthogonal to it."""
     u0, u1, v0, v1 = bounds
     return (u0, u1, v0, v1) if axis == U else (v0, v1, u0, u1)
-
-
-def _support_ranges(space: LRSpace, key, axis: str) -> tuple[float, float, float, float]:
-    su0, su1, sv0, sv1 = space.support_values(key)
-    return (su0, su1, sv0, sv1) if axis == U else (sv0, sv1, su0, su1)
 
 
 def _wide_enough(d0: float, d1: float, min_interval: float) -> bool:
@@ -281,7 +277,7 @@ def _full_spans(space: LRSpace, elements, dirs: tuple[str, ...], min_interval: f
     every B-spline overlapping it."""
     e2b, _ = space.overlap_maps()
     bounds = space.element_bounds().tolist()
-    supp = np.array([space.support_values(k) for k in space.keys_sorted()])
+    supp = space.support_bounds()
     for e in elements:
         for axis in dirs:
             d0, d1, o0, o1 = _axis_ranges(bounds[e], axis)
@@ -317,16 +313,16 @@ def plan_min_span(flagged, space: LRSpace, acc: AccuracyLedger,
         raise ValueError(f"unknown minimum-span subtype {sub!r}")
     plan = RefinementPlan()
     e2b, _ = space.overlap_maps()
-    keys = space.keys_sorted()
     pts_b, out_b, _ = _support_point_stats(space, acc)
-    supp = np.array([space.support_values(k) for k in keys])
+    supp = space.support_bounds()
     area_b = (supp[:, 1] - supp[:, 0]) * (supp[:, 3] - supp[:, 2])
     share_b = np.divide(out_b, pts_b, out=np.zeros(len(pts_b)), where=pts_b > 0)
     all_bounds = space.element_bounds().tolist()
+    supp_list = supp.tolist()
     for e in flagged:
         bounds = all_bounds[e]
         bids = e2b[e]
-        if not bids:
+        if len(bids) == 0:
             continue
         areas, shares = area_b[bids], share_b[bids]
         if sub == "l":
@@ -344,7 +340,7 @@ def plan_min_span(flagged, space: LRSpace, acc: AccuracyLedger,
             ecu = (bounds[0] + bounds[1]) / 2.0
             ecv = (bounds[2] + bounds[3]) / 2.0
             def offcenter(i):
-                su0, su1, sv0, sv1 = space.support_values(keys[bids[i]])
+                su0, su1, sv0, sv1 = supp_list[bids[i]]
                 return np.hypot((su0 + su1) / 2.0 - ecu, (sv0 + sv1) / 2.0 - ecv)
             dists = [offcenter(i) for i in cand]
             dmin = min(dists)
@@ -354,7 +350,7 @@ def plan_min_span(flagged, space: LRSpace, acc: AccuracyLedger,
             d0, d1, _, _ = _axis_ranges(bounds, axis)
             if not _wide_enough(d0, d1, min_interval):
                 continue
-            _, _, s0, s1 = _support_ranges(space, keys[chosen], axis)
+            _, _, s0, s1 = _axis_ranges(supp_list[chosen], axis)
             plan.add(PlanSegment(axis, (d0 + d1) / 2.0, s0, s1))
     return plan
 
@@ -373,10 +369,11 @@ def plan_structured(flagged_b, space: LRSpace, dirs: tuple[str, ...],
     local knot interval, spanning the full orthogonal support."""
     plan = RefinementPlan()
     keys = space.keys_sorted()
+    supp = space.support_bounds().tolist()
     for bi in flagged_b:
         key = keys[bi]
         for axis in dirs:
-            _, _, o0, o1 = _support_ranges(space, key, axis)
+            _, _, o0, o1 = _axis_ranges(supp[bi], axis)
             for a, b in _local_intervals(space, key, axis):
                 if not _wide_enough(a, b, min_interval):
                     continue
@@ -393,6 +390,7 @@ def plan_restricted(flagged_b, space: LRSpace, acc: AccuracyLedger,
     td when td is active; with no threshold, at least one unresolved point."""
     plan = RefinementPlan()
     keys = space.keys_sorted()
+    supp = space.support_bounds().tolist()
     _, b2e = space.overlap_maps()
     bounds = space.element_bounds()
     mids = {U: (bounds[:, 0] + bounds[:, 1]) / 2.0, V: (bounds[:, 2] + bounds[:, 3]) / 2.0}
@@ -400,7 +398,7 @@ def plan_restricted(flagged_b, space: LRSpace, acc: AccuracyLedger,
         key = keys[bi]
         eids = b2e[bi]
         for axis in dirs:
-            _, _, o0, o1 = _support_ranges(space, key, axis)
+            _, _, o0, o1 = _axis_ranges(supp[bi], axis)
             mid = mids[axis][eids]
             for a, b in _local_intervals(space, key, axis):
                 if not _wide_enough(a, b, min_interval):

@@ -72,11 +72,12 @@ class LRSurface:
         if (uu < u0).any() or (uu > u1).any() or (vv < v0).any() or (vv > v1).any():
             raise DomainError("query point outside the surface domain")
         _, order, start = _cell_order(sp, uu, vv)
-        scales, coeffs = sp.scale_array(), sp.coeff_array()
+        keys = sp.keys_sorted()
         out = np.zeros_like(uu)
         # every point takes its terms in key order, as a sum over all B-splines would
-        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, range(len(scales))):
-            out[ids] += scales[bi] * coeffs[bi] * ru * rv
+        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(keys))):
+            scale, coeff = sp.bsplines[keys[bi]]
+            out[ids] += scale * coeff * ru * rv
         out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out
 
@@ -104,15 +105,14 @@ def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
     p1, p2 = space.degrees
     u1, v1 = float(space.u[-1]), float(space.v[-1])
     nv = len(space.v) - 1
-    boxes = [(ku[0], ku[-1], kv[0], kv[-1]) for ku, kv in (keys[bi] for bi in bis)]
-    u_lo, u_hi, v_lo, v_hi = np.array(boxes, dtype=np.int64).reshape(-1, 4).T
+    u_lo, u_hi, v_lo, v_hi = space.support_boxes()[bis].T
     # the runs of all B-splines, support column by support column
     n_col = u_hi - u_lo
     first = np.cumsum(n_col) - n_col
     col = np.arange(n_col.sum()) - np.repeat(first - u_lo, n_col)
     lo = start[col * nv + np.repeat(v_lo, n_col)]
     hi = start[col * nv + np.repeat(v_hi, n_col)]
-    n_pts = np.add.reduceat(hi - lo, first) if bis else first
+    n_pts = np.add.reduceat(hi - lo, first) if len(bis) else first
     lo, hi, first, last = lo.tolist(), hi.tolist(), first.tolist(), (first + n_col).tolist()
     for k in np.flatnonzero(n_pts).tolist():
         ids = np.concatenate([order[lo[j]:hi[j]] for j in range(first[k], last[k])])

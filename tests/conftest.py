@@ -78,6 +78,20 @@ def tensor_eval_oracle(knots_u, knots_v, degrees, coeffs, u, v):
     return np.einsum("ki,kj,ij->k", bu, bv, coeffs)
 
 
+def support_values(space: LRSpace, key) -> tuple[float, float, float, float]:
+    """Support box ``(u0, u1, v0, v1)`` read from the key's end knots, not
+    from the library's support-box array."""
+    ku, kv = key
+    return (float(space.u[ku[0]]), float(space.u[ku[-1]]),
+            float(space.v[kv[0]]), float(space.v[kv[-1]]))
+
+
+def support_ranges(space: LRSpace, key, axis: str) -> tuple[float, float, float, float]:
+    """The key's support range along ``axis`` and across it."""
+    su0, su1, sv0, sv1 = support_values(space, key)
+    return (su0, su1, sv0, sv1) if axis == U else (sv0, sv1, su0, su1)
+
+
 def element_boxes_oracle(space: LRSpace) -> set:
     """Element boxes by union-find over the fine cell grid, using only the
     public segment list — an algorithm independent of the element scan in

@@ -99,6 +99,26 @@ class TestFailureExits:
             assert f"tolerance must be positive and finite, got {float(tol)!r}" in captured.err
             assert "n_out=" not in captured.out
 
+    def test_non_finite_coordinate_report_exit(self, cloud_file, tmp_path, capsys):
+        from lrfit.driver import RunConfig, make_initial_surface
+        from lrfit.io import read_points, write_points, write_surface
+        from lrfit.surface import PointCloud
+
+        cloud = read_points(cloud_file)
+        surface, _ = make_initial_surface(cloud, RunConfig(tolerance=0.6))
+        surf_path = str(tmp_path / "s.lrb")
+        write_surface(surface, surf_path)
+        for row, col in ((1234, 2), (17, 0)):
+            xyz = cloud.xyz.copy()
+            xyz[row, col] = np.nan
+            path = str(tmp_path / "nan.xyz")
+            write_points(PointCloud(xyz), path)
+            assert cli_main(["report", "--surface", surf_path, "--points", path,
+                             "--tolerance", "0.6"]) == 4
+            captured = capsys.readouterr()
+            assert f"point {row} (0-based), column {'xyz'[col]}" in captured.err
+            assert "n_out=" not in captured.out
+
     def test_fit_failure_mid_run_keeps_partial_outputs(self, cloud_file, tmp_path,
                                                        monkeypatch, capsys):
         import lrfit.driver
@@ -175,6 +195,17 @@ class TestStageParsing:
         from lrfit.cli import SystemExit_
         with pytest.raises(SystemExit_):
             parse_stage("frobnicate<=1")
+
+    def test_bad_caps_exit(self, cloud_file, capsys):
+        for text, clause in (("out<=nan%", "out<=nan%"), ("max<=inf", "max<=inf"),
+                             ("out<=1%,avgout<=-0.5", "avgout<=-0.5"),
+                             ("max<=2|out<=-inf%", "out<=-inf%")):
+            assert cli_main(["fit", "--points", cloud_file, "--tolerance", "0.6",
+                             "--intermediate", text]) == 4
+            err = capsys.readouterr().err
+            assert f"intermediate stage clause {clause!r}" in err
+            assert "finite and non-negative" in err
+        assert parse_stage("out<=0%,max<=0").max_dist_cap == 0.0
 
 
 class TestPipelines:

@@ -363,6 +363,14 @@ class TestNotAnLRSpace:
                            match=re.escape(f"knot line u={value!r} is not a meshline")):
             self.read(doc, tmp_path)
 
+    def test_bad_degrees(self, fitted_doc, tmp_path):
+        for degrees in ([2, 2, 2], [2], [2, 4], [0, 2], [2.5, 2], ["2", 2], None):
+            doc = copy.deepcopy(fitted_doc)
+            doc["degrees"] = degrees
+            with pytest.raises(FormatError, match=re.escape(
+                    f"bad.lrb: degrees must be two values from (1, 2, 3), got {degrees!r}")):
+                self.read(doc, tmp_path)
+
     def test_bspline_without_minimal_support(self, fitted_doc, tmp_path):
         doc = copy.deepcopy(fitted_doc)
         assert doc["bsplines"][0][:2] == [[0, 0, 0, 1], [0, 0, 0, 1]]

@@ -10,7 +10,7 @@ from lrfit.mesh import (LRSpace, MeshError, MeshSegment, SegmentError, U, V,
                         make_tensor_mesh, split_knots)
 
 from conftest import (ALL_DEGREES, element_boxes_oracle, random_refined_space,
-                      uniform_tensor_space)
+                      support_values, uniform_tensor_space)
 
 
 def partition_residual(space, n=200, seed=0):
@@ -207,10 +207,196 @@ def test_overlap_maps_consistent():
     # meshes generally; but at least one, and support boxes must contain it
     keys = sp.keys_sorted()
     for e, (u0, u1, v0, v1) in enumerate(sp.element_bounds()):
-        assert e2b[e]
+        assert len(e2b[e])
         for bi in e2b[e]:
-            su0, su1, sv0, sv1 = sp.support_values(keys[bi])
+            su0, su1, sv0, sv1 = support_values(sp, keys[bi])
             assert su0 <= u0 and su1 >= u1 and sv0 <= v0 and sv1 >= v1
+
+
+def overlap_maps_oracle(space):
+    """The per-B-spline formulation: ``np.unique`` over the cell-to-element
+    map in each support box, and elements collecting B-spline ids in key
+    order."""
+    cell = space.cell_to_element()
+    e2b = [[] for _ in range(len(space.elements()))]
+    b2e = []
+    for bi, (ku, kv) in enumerate(space.keys_sorted()):
+        eids = np.unique(cell[ku[0]:ku[-1], kv[0]:kv[-1]])
+        b2e.append(eids)
+        for e in eids:
+            e2b[int(e)].append(bi)
+    return e2b, b2e
+
+
+def test_overlap_maps_match_unique_formulation(corpus50):
+    meshes, _ = corpus50
+    for sp in meshes:
+        e2b, b2e = sp.overlap_maps()
+        o_e2b, o_b2e = overlap_maps_oracle(sp)
+        assert [bids.tolist() for bids in e2b] == o_e2b
+        assert len(b2e) == len(o_b2e)
+        for got, expected in zip(b2e, o_b2e):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_support_boxes_follow_keys(corpus50):
+    meshes, _ = corpus50
+    for sp in meshes[:10]:
+        keys = sp.keys_sorted()
+        assert sp.support_boxes().tolist() == [[ku[0], ku[-1], kv[0], kv[-1]]
+                                               for ku, kv in keys]
+        assert sp.support_bounds().tolist() == [list(support_values(sp, k)) for k in keys]
+
+
+# ----------------------------------------------------------------------
+# the coverage arrays against the former span-list meshline store
+
+class SpanListStore:
+    """Per ``(axis, fixed)`` a sorted list of disjoint spans that coalesce
+    when they overlap or touch, remapped span by span when a knot table
+    grows."""
+
+    def __init__(self, n_u, n_v):
+        self.n = {U: n_u, V: n_v}
+        self.segs = {}
+
+    def add(self, axis, fixed, lo, hi):
+        new_lo, new_hi = lo, hi
+        keep = []
+        for s_lo, s_hi in self.segs.get((axis, fixed), []):
+            if s_hi < new_lo or s_lo > new_hi:
+                keep.append((s_lo, s_hi))
+            else:
+                new_lo, new_hi = min(new_lo, s_lo), max(new_hi, s_hi)
+        keep.append((new_lo, new_hi))
+        self.segs[(axis, fixed)] = sorted(keep)
+
+    def merged_extent(self, axis, fixed, lo, hi):
+        m_lo, m_hi = lo, hi
+        for s_lo, s_hi in self.segs.get((axis, fixed), ()):
+            if s_hi >= lo and s_lo <= hi:
+                m_lo, m_hi = min(m_lo, s_lo), max(m_hi, s_hi)
+        return m_lo, m_hi
+
+    def remap(self, axis, imap, n_new):
+        new = {}
+        for (a, fixed), spans in self.segs.items():
+            if a == axis:
+                new[(a, int(imap[fixed]))] = spans
+            else:
+                new[(a, fixed)] = [(int(imap[lo]), int(imap[hi])) for lo, hi in spans]
+        self.segs = new
+        self.n[axis] = n_new
+
+    def segments(self):
+        return [MeshSegment(a, fixed, lo, hi)
+                for (a, fixed), spans in sorted(self.segs.items()) for lo, hi in spans]
+
+    def coverage(self, axis):
+        cov = np.zeros((self.n[axis], self.n[V if axis == U else U] - 1), dtype=bool)
+        for (a, fixed), spans in self.segs.items():
+            for lo, hi in spans:
+                if a == axis:
+                    cov[fixed, lo:hi] = True
+        return cov
+
+
+_index = st.integers(0, 10**6)
+span_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from([U, V]), _index, _index, _index),
+    st.tuples(st.just("grow"), st.sampled_from([U, V]), st.lists(_index, min_size=1,
+                                                                  max_size=4))),
+    max_size=40)
+
+
+class TestCoverageAgainstSpanLists:
+    @given(n_u=st.integers(2, 6), n_v=st.integers(2, 6), ops=span_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_segments_coverage_and_merged_extent(self, n_u, n_v, ops):
+        """Random touching, overlapping and disjoint spans interleaved with
+        knot-table growth give the same segment list, coverage and merged
+        extents as the span lists."""
+        sp = LRSpace(np.arange(n_u, dtype=float), np.arange(n_v, dtype=float), (2, 2))
+        oracle = SpanListStore(n_u, n_v)
+        for op in ops:
+            axis = op[1]
+            table = sp.table(axis)
+            if op[0] == "add":
+                n_run = len(sp.table(V if axis == U else U)) - 1
+                fixed = op[2] % len(table)
+                lo = op[3] % n_run
+                hi = lo + 1 + op[4] % (n_run - lo)
+                assert sp.merged_extent(axis, fixed, lo, hi) == \
+                    oracle.merged_extent(axis, fixed, lo, hi)
+                sp._add_span(axis, fixed, lo, hi)
+                oracle.add(axis, fixed, lo, hi)
+                for j in range(n_run):
+                    assert sp.merged_extent(axis, fixed, j, j + 1) == \
+                        oracle.merged_extent(axis, fixed, j, j + 1)
+            else:
+                # midpoints of intervals; every third value is a table value,
+                # which ensure_values ignores
+                values = []
+                for k in op[2]:
+                    i = k % (len(table) - 1)
+                    values.append(table[i] if k % 3 == 0 else 0.5 * (table[i] + table[i + 1]))
+                sp.ensure_values(axis, values)
+                oracle.remap(axis, np.searchsorted(sp.table(axis), table),
+                             len(sp.table(axis)))
+            assert sp.segments() == oracle.segments()
+            for a in (U, V):
+                assert np.array_equal(sp.coverage(a), oracle.coverage(a))
+
+
+# ----------------------------------------------------------------------
+# random segment sequences on random tensor meshes
+
+
+@st.composite
+def tensor_meshes(draw):
+    """A tensor mesh of random degrees over 1 to 5 intervals of random
+    integer widths per direction."""
+    degrees = draw(st.sampled_from(ALL_DEGREES))
+    knots = []
+    for p in degrees:
+        widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+        k = np.r_[0, np.cumsum(widths)].astype(float)
+        knots.append(np.r_[[k[0]] * p, k, [k[-1]] * p])
+    return make_tensor_mesh(knots[0], knots[1], degrees)
+
+
+_segment = st.tuples(st.sampled_from([U, V]), _index, _index, _index)
+
+
+class TestRandomSegmentSequences:
+    @given(space=tensor_meshes(),
+           batches=st.lists(st.lists(_segment, min_size=1, max_size=3), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_elements_minimal_support_and_unity(self, space, batches):
+        """Batches of midpoint segments whose ends lie on meshlines crossing
+        their interval, materialized as the refinement loop does: values
+        first, then indices.  The mesh keeps the union-find elements, every
+        B-spline keeps minimal support and the basis sums to one."""
+        for batch in batches:
+            planned = []
+            for axis, i, a, b in batch:
+                table = space.table(axis)
+                run = space.table(V if axis == U else U)
+                i %= len(table) - 1
+                cands = np.flatnonzero(space.coverage(V if axis == U else U)[:, i])
+                lo, hi = sorted((int(cands[a % len(cands)]), int(cands[b % len(cands)])))
+                if lo < hi:
+                    planned.append((axis, 0.5 * (table[i] + table[i + 1]), run[lo], run[hi]))
+            for axis in (U, V):
+                space.ensure_values(axis, [p[1] for p in planned if p[0] == axis])
+            segs = [MeshSegment(axis, int(np.searchsorted(space.table(axis), value)),
+                                int(np.searchsorted(space.table(V if axis == U else U), lo)),
+                                int(np.searchsorted(space.table(V if axis == U else U), hi)))
+                    for axis, value, lo, hi in planned]
+            space.try_apply_segments(segs)
+            assert {tuple(e) for e in space.elements().tolist()} == element_boxes_oracle(space)
+        assert all(space.has_minimal_support(k) for k in space.bsplines)
+        assert partition_residual(space, n=100) < 1e-12
 
 
 # ----------------------------------------------------------------------

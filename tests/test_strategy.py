@@ -18,7 +18,8 @@ from lrfit.strategy import (Cutoffs, LabelError, PlanSegment, RefinementPlan,
 from lrfit.surface import (AccuracyLedger, LRSurface, PointCloud, assign_points,
                            compute_accuracy)
 
-from conftest import random_refined_space, uniform_tensor_space
+from conftest import (random_refined_space, support_ranges, support_values,
+                      uniform_tensor_space)
 
 
 GOOD_LABELS = {
@@ -203,7 +204,7 @@ class TestPlans:
         planned = {(s.axis, s.value, s.lo, s.hi) for s in plan.segments}
         for bi in flagged:
             for axis in (U, V):
-                _, _, o0, o1 = strat._support_ranges(sp, keys[bi], axis)
+                _, _, o0, o1 = support_ranges(sp, keys[bi], axis)
                 for a, b in strat._local_intervals(sp, keys[bi], axis):
                     assert (axis, (a + b) / 2, o0, o1) in planned
 
@@ -320,7 +321,7 @@ class ObjectPlanner:
                     continue
                 lo, hi = o0, o1
                 for bi in self.e2b[e]:
-                    _, _, s0, s1 = strat._support_ranges(self.space, self.keys[bi], axis)
+                    _, _, s0, s1 = support_ranges(self.space, self.keys[bi], axis)
                     lo, hi = min(lo, s0), max(hi, s1)
                 plan.add(PlanSegment(axis, (d0 + d1) / 2.0, lo, hi))
         return plan
@@ -334,7 +335,7 @@ class ObjectPlanner:
             bids = self.e2b[e]
             areas, shares = [], []
             for bi in bids:
-                su0, su1, sv0, sv1 = sp.support_values(keys[bi])
+                su0, su1, sv0, sv1 = support_values(sp, keys[bi])
                 areas.append((su1 - su0) * (sv1 - sv0))
                 shares.append(out_b[bi] / pts_b[bi] if pts_b[bi] > 0 else 0.0)
             areas, shares = np.asarray(areas), np.asarray(shares)
@@ -352,7 +353,7 @@ class ObjectPlanner:
                 ecu, ecv = (bounds[0] + bounds[1]) / 2.0, (bounds[2] + bounds[3]) / 2.0
 
                 def offcenter(i):
-                    su0, su1, sv0, sv1 = sp.support_values(keys[bids[i]])
+                    su0, su1, sv0, sv1 = support_values(sp, keys[bids[i]])
                     return np.hypot((su0 + su1) / 2.0 - ecu, (sv0 + sv1) / 2.0 - ecv)
                 dists = [offcenter(i) for i in cand]
                 cand = [i for i, d in zip(cand, dists) if d == min(dists)]
@@ -361,7 +362,7 @@ class ObjectPlanner:
                 d0, d1, _, _ = strat._axis_ranges(bounds, axis)
                 if not strat._wide_enough(d0, d1, min_interval):
                     continue
-                _, _, s0, s1 = strat._support_ranges(sp, keys[chosen], axis)
+                _, _, s0, s1 = support_ranges(sp, keys[chosen], axis)
                 plan.add(PlanSegment(axis, (d0 + d1) / 2.0, s0, s1))
         return plan
 
@@ -370,7 +371,7 @@ class ObjectPlanner:
         for bi in flagged_b:
             key = self.keys[bi]
             for axis in dirs:
-                _, _, o0, o1 = strat._support_ranges(self.space, key, axis)
+                _, _, o0, o1 = support_ranges(self.space, key, axis)
                 for a, b in strat._local_intervals(self.space, key, axis):
                     if not strat._wide_enough(a, b, min_interval):
                         continue
