@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -123,6 +124,8 @@ def read_surface(path: str) -> LRSurface:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not a surface document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: not a surface document: a JSON object is expected")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise FormatError(f"{path}: unsupported schema version {version!r} "
@@ -133,14 +136,18 @@ def read_surface(path: str) -> LRSurface:
         raise FormatError(f"{path}: degrees must be two values from "
                           f"{SUPPORTED_DEGREES}, got {degrees!r}")
     try:
-        u = np.array(doc["knots_u"], dtype=float)
-        v = np.array(doc["knots_v"], dtype=float)
+        knots = doc["knots_u"], doc["knots_v"]
         segments = doc["segments"]
         bsplines = doc["bsplines"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise FormatError(f"{path}: malformed surface document: {exc}") from exc
+    if not (isinstance(segments, list) and isinstance(bsplines, list)):
+        raise FormatError(f"{path}: segments and bsplines must be lists")
     if len(bsplines) == 0:
         raise FormatError(f"{path}: surface document without B-splines")
+    if not all(isinstance(k, list) and all(map(_finite_number, k)) for k in knots):
+        raise FormatError(f"{path}: knot tables must be lists of finite numbers")
+    u, v = (np.array(k, dtype=float) for k in knots)
     if len(u) < 2 or len(v) < 2 or (np.diff(u) <= 0).any() or (np.diff(v) <= 0).any():
         raise FormatError(f"{path}: knot tables must be strictly increasing")
     space = LRSpace(u, v, degrees)
@@ -148,9 +155,11 @@ def read_surface(path: str) -> LRSurface:
     for seg in segments:
         try:
             axis, fixed, lo, hi = seg
-            ms = MeshSegment(str(axis), int(fixed), int(lo), int(hi))
+            ms = MeshSegment(str(axis), fixed, lo, hi)
         except (TypeError, ValueError, MeshError) as exc:
             raise FormatError(f"{path}: corrupt segment {seg!r}: {exc}") from exc
+        if not _all_ints((fixed, lo, hi)):
+            raise FormatError(f"{path}: segment {seg!r} has a non-integer index")
         n_fix = nu if ms.axis == U else nv
         n_orth = nv if ms.axis == U else nu
         if not (0 <= ms.fixed < n_fix and 0 <= ms.lo < ms.hi < n_orth):
@@ -161,9 +170,18 @@ def read_surface(path: str) -> LRSurface:
     for entry in bsplines:
         try:
             ku, kv, coeff, scale = entry
-            key = (tuple(int(i) for i in ku), tuple(int(i) for i in kv))
+            key = (tuple(ku), tuple(kv))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: corrupt B-spline {entry!r}: {exc}") from exc
+        if not _all_ints(key[0] + key[1]):
+            raise FormatError(f"{path}: B-spline {entry!r} has a non-integer knot index")
+        if not _finite_number(coeff):
+            raise FormatError(f"{path}: B-spline {entry!r} has a coefficient that is "
+                              "not a finite number")
+        # refinement only multiplies and adds positive weights
+        if not (_finite_number(scale) and scale > 0):
+            raise FormatError(f"{path}: B-spline {entry!r} has a scale that is "
+                              "not a finite positive number")
         if len(key[0]) != p1 + 2 or len(key[1]) != p2 + 2:
             raise FormatError(f"{path}: B-spline {entry!r} has the wrong "
                               "local knot count for its degree")
@@ -178,6 +196,16 @@ def read_surface(path: str) -> LRSurface:
     space._touch()
     _check_lr_space(space, path)
     return LRSurface(space)
+
+
+def _all_ints(values) -> bool:
+    # a JSON integer, not a float or a bool
+    return all(type(x) is int for x in values)
+
+
+def _finite_number(x) -> bool:
+    # a JSON number; NaN fails the comparison, and no float overflow on big ints
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _check_lr_space(space: LRSpace, path: str) -> None:

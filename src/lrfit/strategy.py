@@ -16,12 +16,35 @@ import numpy as np
 from .mesh import LRSpace, MeshSegment, U, V
 from .surface import AccuracyLedger
 
+#: strategy body -> (trigger, kind, minimum-span subtype)
+BODIES = {
+    "eF": ("e", "F", None),
+    "eMl": ("e", "M", "l"),
+    "eMu": ("e", "M", "u"),
+    "eMc": ("e", "M", "c"),
+    "bS": ("b", "S", None),
+    "bR": ("b", "R", None),
+}
+#: kinds that take the simultaneous element extension '+eL'
+EXTENDING_KINDS = ("R",)
+#: kinds that may switch to full span, written '/F' or '/eF'
+SWITCHING_KINDS = ("M", "R")
+SWITCH_TARGETS = ("F", "eF")
+
+
+def _body_grammar(body: str) -> str:
+    kind = BODIES[body][1]
+    suffixes = ((["'+eL'"] if kind in EXTENDING_KINDS else [])
+                + ([f"'/{t}'" for t in SWITCH_TARGETS] if kind in SWITCHING_KINDS else []))
+    return f"'{body}'" + (f" [{' | '.join(suffixes)}]" if suffixes else "")
+
+
 GRAMMAR = (
     "label := strategy [' t' thresholds]; "
-    "strategy := 'e' ('F' | 'M'[luc]['/F']) ('A'|'B') "
-    "| 'b' ('S' | 'R'['+eL'|'/eF']) ('A'|'B'); "
+    f"strategy := ({' | '.join(_body_grammar(b) for b in BODIES)}) ('A'|'B'); "
     "thresholds := letters from {d, n, k} joined with '+' (same level) "
-    "or '/' (levels before/after a strategy switch)"
+    "or '/' (levels before/after a strategy switch, so only after a switch); "
+    "'k' applies to 'bR' only, 'n' to element strategies only"
 )
 
 
@@ -60,7 +83,13 @@ def _parse_threshold_level(txt: str, kind: str) -> frozenset:
 
 
 def parse_label(label: str) -> StrategySpec:
-    """Parse a strategy label like ``"eFA tn"``, ``"bR+eLA tk"``, ``"eMc/FA tn"``."""
+    """Parse a strategy label like ``"eFA tn"``, ``"bR+eLA tk"``, ``"eMc/FA tn"``.
+
+    The checks run in order: one or two parts, the direction letter, a ``/``
+    switch before a ``+`` extension, the strategy body in :data:`BODIES`,
+    the extension and switch rules of its kind, then the thresholds. The
+    first failing check raises :class:`LabelError`.
+    """
     parts = label.strip().split()
     if len(parts) == 0 or len(parts) > 2:
         raise LabelError(f"malformed label {label!r}")
@@ -81,35 +110,15 @@ def parse_label(label: str) -> StrategySpec:
         if ext_body != "eL":
             raise LabelError(f"unknown simultaneous combination {ext_body!r}")
         ext = True
-
-    trigger = body[0] if body else ""
-    if trigger == "e":
-        rest = body[1:]
-        if rest == "F":
-            kind, subtype = "F", None
-        elif len(rest) == 2 and rest[0] == "M" and rest[1] in "luc":
-            kind, subtype = "M", rest[1]
-        else:
-            raise LabelError(f"unknown element strategy {rest!r}")
-        if ext:
-            raise LabelError("element extension '+eL' applies to 'bR' only")
-    elif trigger == "b":
-        rest = body[1:]
-        if rest == "S":
-            kind, subtype = "S", None
-        elif rest == "R":
-            kind, subtype = "R", None
-        else:
-            raise LabelError(f"unknown B-spline strategy {rest!r}")
-        if ext and kind != "R":
-            raise LabelError("element extension '+eL' applies to 'bR' only")
-    else:
-        raise LabelError(f"trigger must be 'e' or 'b', got {trigger!r}")
-
+    if body not in BODIES:
+        raise LabelError(f"unknown strategy {body!r}, expected one of {', '.join(BODIES)}")
+    trigger, kind, subtype = BODIES[body]
+    if ext and kind not in EXTENDING_KINDS:
+        raise LabelError("element extension '+eL' applies to 'bR' only")
     if switch_body is not None:
-        if switch_body not in ("F", "eF"):
+        if switch_body not in SWITCH_TARGETS:
             raise LabelError(f"unknown switch target {switch_body!r}")
-        if kind not in ("M", "R"):
+        if kind not in SWITCHING_KINDS:
             raise LabelError("a '/F' switch applies to minimum span or restricted mesh")
 
     levels: list[frozenset] = []
@@ -119,18 +128,15 @@ def parse_label(label: str) -> StrategySpec:
         lvl_txts = thr[1:].split("/")
         if len(lvl_txts) > (2 if switch_body else 1):
             raise LabelError("more threshold levels than strategy levels")
-        kinds = [kind, "F"]
-        levels = [_parse_threshold_level(t, kinds[i]) for i, t in enumerate(lvl_txts)]
+        levels = [_parse_threshold_level(t, k) for t, k in zip(lvl_txts, (kind, "F"))]
     primary_thr = levels[0] if levels else frozenset()
+    switch = None
     if switch_body is not None:
         switch_thr = levels[1] if len(levels) > 1 else primary_thr - {"tk"}
+        letters = "+".join(s[1] for s in sorted(switch_thr))
         switch = StrategySpec(trigger="e", kind="F", subtype=None, extension_L=False,
                               direction_policy=direction, thresholds=switch_thr,
-                              label=f"eF{direction}"
-                              + (" t" + "+".join(s[1] for s in sorted(switch_thr))
-                                 if switch_thr else ""))
-    else:
-        switch = None
+                              label=f"eF{direction}" + (f" t{letters}" if letters else ""))
     return StrategySpec(trigger=trigger, kind=kind, subtype=subtype, extension_L=ext,
                         direction_policy=direction, thresholds=primary_thr,
                         switch_to=switch, label=label.strip())
@@ -299,6 +305,12 @@ def plan_full_span(flagged, space: LRSpace, dirs: tuple[str, ...],
     return plan
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled to [0, 1]; all zeros when ``x`` is constant."""
+    rng = x.max() - x.min()
+    return (x - x.min()) / rng if rng > 0 else np.zeros_like(x)
+
+
 def plan_min_span(flagged, space: LRSpace, acc: AccuracyLedger,
                   dirs: tuple[str, ...], sub: str,
                   min_interval: float = 0.0) -> RefinementPlan:
@@ -317,35 +329,19 @@ def plan_min_span(flagged, space: LRSpace, acc: AccuracyLedger,
     supp = space.support_bounds()
     area_b = (supp[:, 1] - supp[:, 0]) * (supp[:, 3] - supp[:, 2])
     share_b = np.divide(out_b, pts_b, out=np.zeros(len(pts_b)), where=pts_b > 0)
+    mid_u, mid_v = (supp[:, 0] + supp[:, 1]) / 2.0, (supp[:, 2] + supp[:, 3]) / 2.0
     all_bounds = space.element_bounds().tolist()
     supp_list = supp.tolist()
     for e in flagged:
         bounds = all_bounds[e]
         bids = e2b[e]
-        if len(bids) == 0:
-            continue
         areas, shares = area_b[bids], share_b[bids]
-        if sub == "l":
-            score = areas
-        elif sub == "u":
-            score = shares
-        else:
-            def norm(x):
-                rng = x.max() - x.min()
-                return (x - x.min()) / rng if rng > 0 else np.zeros_like(x)
-            score = 0.5 * (norm(areas) + norm(shares))
-        best = score.max()
-        cand = [i for i in range(len(bids)) if score[i] == best]
-        if len(cand) > 1:
-            ecu = (bounds[0] + bounds[1]) / 2.0
-            ecv = (bounds[2] + bounds[3]) / 2.0
-            def offcenter(i):
-                su0, su1, sv0, sv1 = supp_list[bids[i]]
-                return np.hypot((su0 + su1) / 2.0 - ecu, (sv0 + sv1) / 2.0 - ecv)
-            dists = [offcenter(i) for i in cand]
-            dmin = min(dists)
-            cand = [i for i, d in zip(cand, dists) if d == dmin]
-        chosen = bids[min(cand)]
+        score = (areas if sub == "l" else shares if sub == "u"
+                 else 0.5 * (_unit(areas) + _unit(shares)))
+        off = np.hypot(mid_u[bids] - (bounds[0] + bounds[1]) / 2.0,
+                       mid_v[bids] - (bounds[2] + bounds[3]) / 2.0)
+        # stable, last key first: highest score, most central, lowest index
+        chosen = bids[np.lexsort((off, -score))[0]]
         for axis in dirs:
             d0, d1, _, _ = _axis_ranges(bounds, axis)
             if not _wide_enough(d0, d1, min_interval):
@@ -363,21 +359,27 @@ def _local_intervals(space: LRSpace, key, axis: str) -> list[tuple[float, float]
             for a, b in zip(vals[:-1], vals[1:])]
 
 
+def _interval_spans(space: LRSpace, flagged_b, dirs: tuple[str, ...], min_interval: float):
+    """Yield ``(bi, axis, a, b, segment)`` per flagged B-spline, direction
+    and local knot interval ``[a, b]`` that may be halved: the midpoint
+    segment spans the B-spline's full orthogonal support."""
+    keys = space.keys_sorted()
+    supp = space.support_bounds().tolist()
+    for bi in flagged_b:
+        for axis in dirs:
+            _, _, o0, o1 = _axis_ranges(supp[bi], axis)
+            for a, b in _local_intervals(space, keys[bi], axis):
+                if _wide_enough(a, b, min_interval):
+                    yield bi, axis, a, b, PlanSegment(axis, (a + b) / 2.0, o0, o1)
+
+
 def plan_structured(flagged_b, space: LRSpace, dirs: tuple[str, ...],
                     min_interval: float = 0.0) -> RefinementPlan:
     """Per flagged B-spline and direction: one midpoint segment for every
     local knot interval, spanning the full orthogonal support."""
     plan = RefinementPlan()
-    keys = space.keys_sorted()
-    supp = space.support_bounds().tolist()
-    for bi in flagged_b:
-        key = keys[bi]
-        for axis in dirs:
-            _, _, o0, o1 = _axis_ranges(supp[bi], axis)
-            for a, b in _local_intervals(space, key, axis):
-                if not _wide_enough(a, b, min_interval):
-                    continue
-                plan.add(PlanSegment(axis, (a + b) / 2.0, o0, o1))
+    for *_, seg in _interval_spans(space, flagged_b, dirs, min_interval):
+        plan.add(seg)
     return plan
 
 
@@ -389,32 +391,18 @@ def plan_restricted(flagged_b, space: LRSpace, acc: AccuracyLedger,
     out-of-tolerance count above the tk cutoff, or strip max distance above
     td when td is active; with no threshold, at least one unresolved point."""
     plan = RefinementPlan()
-    keys = space.keys_sorted()
-    supp = space.support_bounds().tolist()
     _, b2e = space.overlap_maps()
     bounds = space.element_bounds()
     mids = {U: (bounds[:, 0] + bounds[:, 1]) / 2.0, V: (bounds[:, 2] + bounds[:, 3]) / 2.0}
-    for bi in flagged_b:
-        key = keys[bi]
+    for bi, axis, a, b, seg in _interval_spans(space, flagged_b, dirs, min_interval):
         eids = b2e[bi]
-        for axis in dirs:
-            _, _, o0, o1 = _axis_ranges(supp[bi], axis)
-            mid = mids[axis][eids]
-            for a, b in _local_intervals(space, key, axis):
-                if not _wide_enough(a, b, min_interval):
-                    continue
-                strip = eids[(a < mid) & (mid < b)]
-                n_out = acc.n_out[strip].sum()
-                max_d = acc.max_dist[strip].max(initial=0.0)
-                take = False
-                if "tk" in thresholds:
-                    take = n_out > cuts.tk
-                if not take and "td" in thresholds:
-                    take = max_d > cuts.td
-                if not thresholds:
-                    take = n_out >= 1
-                if take:
-                    plan.add(PlanSegment(axis, (a + b) / 2.0, o0, o1))
+        mid = mids[axis][eids]
+        strip = eids[(a < mid) & (mid < b)]
+        n_out = acc.n_out[strip].sum()
+        if (("tk" in thresholds and n_out > cuts.tk)
+                or ("td" in thresholds and acc.max_dist[strip].max(initial=0.0) > cuts.td)
+                or (not thresholds and n_out >= 1)):
+            plan.add(seg)
     return plan
 
 

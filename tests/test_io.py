@@ -381,6 +381,60 @@ class TestNotAnLRSpace:
             self.read(doc, tmp_path)
 
 
+    def test_not_a_json_object(self, fitted_doc, tmp_path):
+        with pytest.raises(FormatError, match="bad.lrb: not a surface document: "
+                                              "a JSON object is expected"):
+            self.read([fitted_doc], tmp_path)
+
+    @pytest.mark.parametrize("field", ["segments", "bsplines"])
+    def test_entries_not_a_list(self, fitted_doc, tmp_path, field):
+        doc = copy.deepcopy(fitted_doc)
+        doc[field] = 5
+        with pytest.raises(FormatError, match="bad.lrb: segments and bsplines must be lists"):
+            self.read(doc, tmp_path)
+
+    def test_non_integer_segment_index(self, fitted_doc, tmp_path):
+        doc = copy.deepcopy(fitted_doc)
+        i = next(i for i, s in enumerate(doc["segments"]) if s[1] == 3)
+        doc["segments"][i][1] = 3.5
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad.lrb: segment {doc['segments'][i]!r} has a non-integer index")):
+            self.read(doc, tmp_path)
+
+    def test_non_integer_knot_index(self, fitted_doc, tmp_path):
+        doc = copy.deepcopy(fitted_doc)
+        doc["bsplines"][0][0] = [i + 0.25 for i in doc["bsplines"][0][0]]
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad.lrb: B-spline {doc['bsplines'][0]!r} has a non-integer knot index")):
+            self.read(doc, tmp_path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0"])
+    def test_non_finite_knot(self, fitted_doc, tmp_path, value):
+        doc = copy.deepcopy(fitted_doc)
+        doc["knots_u"][-1] = value
+        with pytest.raises(FormatError, match="bad.lrb: knot tables must be lists of "
+                                              "finite numbers"):
+            self.read(doc, tmp_path)
+
+    @pytest.mark.parametrize("value", [float("nan"), "nan"])
+    def test_non_finite_coefficient(self, fitted_doc, tmp_path, value):
+        doc = copy.deepcopy(fitted_doc)
+        doc["bsplines"][0][2] = value
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad.lrb: B-spline {doc['bsplines'][0]!r} has a coefficient that is "
+                "not a finite number")):
+            self.read(doc, tmp_path)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_scale_not_positive(self, fitted_doc, tmp_path, value):
+        doc = copy.deepcopy(fitted_doc)
+        doc["bsplines"][0][3] = value
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad.lrb: B-spline {doc['bsplines'][0]!r} has a scale that is "
+                "not a finite positive number")):
+            self.read(doc, tmp_path)
+
+
 class TestRaster:
     def test_constant_surface(self, tmp_path):
         sp = uniform_tensor_space((2, 2), n_elems=2)

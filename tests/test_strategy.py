@@ -1,5 +1,6 @@
 """Strategy labels, thresholds and refinement-plan construction."""
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +13,9 @@ from lrfit.driver import RunConfig, run
 from lrfit.fitting import FitConfig, fit_step
 from lrfit.mesh import U, V
 from lrfit.strategy import (Cutoffs, LabelError, PlanSegment, RefinementPlan,
-                            build_plan, compute_thresholds, directions_for,
-                            element_scores, parse_label, plan_to_segments,
-                            should_switch)
+                            StrategySpec, build_plan, compute_thresholds,
+                            directions_for, element_scores, parse_label,
+                            plan_to_segments, should_switch)
 from lrfit.surface import (AccuracyLedger, LRSurface, PointCloud, assign_points,
                            compute_accuracy)
 
@@ -47,6 +48,28 @@ BAD_LABELS = [
 ]
 
 
+def near_valid_labels():
+    """Labels from valid and invalid bodies, suffixes, directions and
+    threshold parts; each part is drawn from the valid ones three times in
+    four."""
+    def either(valid, invalid):
+        return st.integers(0, 3).flatmap(lambda i: invalid if i == 0 else valid)
+
+    def one(*choices):
+        return st.sampled_from(choices)
+
+    thresholds = either(
+        one("", " td", " tn", " tk", " td+n", " td+k", " tn+d", " tk/n", " td+k/d+n", " tn/d"),
+        st.one_of(one(" tn extra", " t", " n"), st.text("dnkq+/", max_size=6).map(" t".__add__),
+                  st.text("tdnkq+/", max_size=6).map(" ".__add__)))
+    return st.tuples(
+        one("", " "),
+        either(one(*strat.BODIES), one("eS", "bF", "eM", "eMx", "bMc", "e", "b", "x", "")),
+        either(one("", "+eL", "/F", "/eF"), one("+eX", "/zz", "/", "+", "+eL/F")),
+        either(one("A", "B"), one("C", "")),
+        thresholds).map("".join)
+
+
 class TestLabelGrammar:
     @pytest.mark.parametrize("label", sorted(GOOD_LABELS))
     def test_accepted(self, label):
@@ -72,6 +95,112 @@ class TestLabelGrammar:
         with pytest.raises(LabelError) as err:
             parse_label(label)
         assert "grammar" in str(err.value)
+
+    def test_grammar_states_each_body_with_its_suffixes(self):
+        # the grammar writes every body, followed by exactly the suffixes the
+        # parser accepts after it
+        for body in strat.BODIES:
+            written = re.search(rf"'{body}'(?: \[([^\]]*)\])?", strat.GRAMMAR)
+            assert written is not None, body
+            accepted = set()
+            for suffix in ("", "+eL", "/F", "/eF", "+eX", "/zz"):
+                try:
+                    parse_label(f"{body}{suffix}A")
+                    accepted.add(suffix)
+                except LabelError:
+                    pass
+            assert accepted == {""} | set(re.findall(r"'([^']*)'", written.group(1) or "")), body
+
+    def test_unknown_body_names_the_valid_ones(self):
+        with pytest.raises(LabelError, match="unknown strategy 'eM', expected one of "
+                                             "eF, eMl, eMu, eMc, bS, bR; grammar: "):
+            parse_label("eMA")
+
+    @given(label=st.one_of(near_valid_labels(), st.text(max_size=12)))
+    @settings(max_examples=2000, deadline=None)
+    def test_parser_equals_branching_parser(self, label):
+        try:
+            expect = branching_parse_label(label)
+        except LabelError:
+            with pytest.raises(LabelError):
+                parse_label(label)
+            return
+        assert parse_label(label) == expect
+
+
+def branching_parse_label(label):
+    """The label parser with one branch per trigger and strategy body, as
+    the oracle of the table-driven :func:`parse_label`."""
+    parts = label.strip().split()
+    if len(parts) == 0 or len(parts) > 2:
+        raise LabelError(f"malformed label {label!r}")
+    strat_part = parts[0]
+    thr = parts[1] if len(parts) == 2 else None
+    if len(strat_part) < 3:
+        raise LabelError(f"strategy part {strat_part!r} too short")
+    direction = strat_part[-1]
+    if direction not in ("A", "B"):
+        raise LabelError(f"direction must be 'A' or 'B', got {direction!r}")
+    body = strat_part[:-1]
+    switch_body = None
+    ext = False
+    if "/" in body:
+        body, switch_body = body.split("/", 1)
+    elif "+" in body:
+        body, ext_body = body.split("+", 1)
+        if ext_body != "eL":
+            raise LabelError(f"unknown simultaneous combination {ext_body!r}")
+        ext = True
+    trigger = body[0] if body else ""
+    if trigger == "e":
+        rest = body[1:]
+        if rest == "F":
+            kind, subtype = "F", None
+        elif len(rest) == 2 and rest[0] == "M" and rest[1] in "luc":
+            kind, subtype = "M", rest[1]
+        else:
+            raise LabelError(f"unknown element strategy {rest!r}")
+        if ext:
+            raise LabelError("element extension '+eL' applies to 'bR' only")
+    elif trigger == "b":
+        rest = body[1:]
+        if rest == "S":
+            kind, subtype = "S", None
+        elif rest == "R":
+            kind, subtype = "R", None
+        else:
+            raise LabelError(f"unknown B-spline strategy {rest!r}")
+        if ext and kind != "R":
+            raise LabelError("element extension '+eL' applies to 'bR' only")
+    else:
+        raise LabelError(f"trigger must be 'e' or 'b', got {trigger!r}")
+    if switch_body is not None:
+        if switch_body not in ("F", "eF"):
+            raise LabelError(f"unknown switch target {switch_body!r}")
+        if kind not in ("M", "R"):
+            raise LabelError("a '/F' switch applies to minimum span or restricted mesh")
+    levels = []
+    if thr is not None:
+        if not thr.startswith("t") or len(thr) < 2:
+            raise LabelError(f"malformed threshold part {thr!r}")
+        lvl_txts = thr[1:].split("/")
+        if len(lvl_txts) > (2 if switch_body else 1):
+            raise LabelError("more threshold levels than strategy levels")
+        kinds = [kind, "F"]
+        levels = [strat._parse_threshold_level(t, kinds[i]) for i, t in enumerate(lvl_txts)]
+    primary_thr = levels[0] if levels else frozenset()
+    if switch_body is not None:
+        switch_thr = levels[1] if len(levels) > 1 else primary_thr - {"tk"}
+        switch = StrategySpec(trigger="e", kind="F", subtype=None, extension_L=False,
+                              direction_policy=direction, thresholds=switch_thr,
+                              label=f"eF{direction}"
+                              + (" t" + "+".join(s[1] for s in sorted(switch_thr))
+                                 if switch_thr else ""))
+    else:
+        switch = None
+    return StrategySpec(trigger=trigger, kind=kind, subtype=subtype, extension_L=ext,
+                        direction_policy=direction, thresholds=primary_thr,
+                        switch_to=switch, label=label.strip())
 
 
 class TestDirections:
