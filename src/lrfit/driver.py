@@ -246,7 +246,7 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
         _log_row(ledger, iteration, acc, space, time.perf_counter() - t0,
                  inserted, spec.label)
         g = acc.global_stats
-        history.append((prev_out - g.n_out, len(space.keys_sorted()) - prev_coeff))
+        history.append((prev_out - g.n_out, len(space) - prev_coeff))
         if spec.switch_to is not None and g.n_out > 0:
             if should_switch(history, g.n_out):
                 spec = spec.switch_to
@@ -261,7 +261,7 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
 def _log_row(ledger: RunLedger, iteration: int, acc: AccuracyLedger,
              space: LRSpace, wall: float, inserted: int, label: str) -> None:
     g = acc.global_stats
-    n_coeff = len(space.keys_sorted())
+    n_coeff = len(space)
     ledger.rows.append(LedgerRow(
         iteration=iteration,
         n_out=g.n_out,

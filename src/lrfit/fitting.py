@@ -87,8 +87,8 @@ def smoothing_matrix(space: LRSpace) -> sparse.csr_matrix:
     nq, n_pts = (p1 + 1) * (p2 + 1), len(wq)
     _, b2e = space.overlap_maps()
     cols = []
-    for bi, key in enumerate(space.keys_sorted()):
-        tu, tv = space.local_knot_values(key)
+    ku, kv = space.knot_indices()
+    for bi, (tu, tv) in enumerate(zip(space.u[ku], space.v[kv])):
         ids = (b2e[bi][:, None] * nq + np.arange(nq)).ravel()
         u, v = uq[ids], vq[ids]
         bu = [basis_value(tu, p1, u), basis_deriv(tu, p1, u, 1), basis_deriv(tu, p1, u, 2)]

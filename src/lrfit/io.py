@@ -107,10 +107,9 @@ def write_surface(surface: LRSurface, path: str, provenance: dict | None = None)
         "knots_u": [float(x) for x in sp.u],
         "knots_v": [float(x) for x in sp.v],
         "segments": [[s.axis, s.fixed, s.lo, s.hi] for s in sp.segments()],
-        "bsplines": [
-            [list(k[0]), list(k[1]), sp.bsplines[k][1], sp.bsplines[k][0]]
-            for k in sp.keys_sorted()
-        ],
+        "bsplines": [list(b) for b in zip(*(a.tolist() for a in sp.knot_indices()),
+                                          sp.coeff_array().tolist(),
+                                          sp.scale_array().tolist())],
         "provenance": provenance or {},
     }
     with open(path, "w") as fh:
@@ -150,6 +149,10 @@ def read_surface(path: str) -> LRSurface:
     u, v = (np.array(k, dtype=float) for k in knots)
     if len(u) < 2 or len(v) < 2 or (np.diff(u) <= 0).any() or (np.diff(v) <= 0).any():
         raise FormatError(f"{path}: knot tables must be strictly increasing")
+    extent = [knots[0][0], knots[0][-1], knots[1][0], knots[1][-1]]
+    if doc.get("domain") != extent:
+        raise FormatError(f"{path}: domain must be the knot-table extent {extent!r}, "
+                          f"got {doc.get('domain')!r}")
     space = LRSpace(u, v, degrees)
     nu, nv = len(u), len(v)
     for seg in segments:
@@ -190,10 +193,13 @@ def read_surface(path: str) -> LRSurface:
             if (arr < 0).any() or (arr >= n).any() or (np.diff(arr) < 0).any():
                 raise FormatError(f"{path}: B-spline {entry!r} indexes outside "
                                   "the knot tables")
+            # interior knots are simple; only the boundary ones repeat
+            if np.isin(arr[1:][np.diff(arr) == 0], (0, n - 1), invert=True).any():
+                raise FormatError(f"{path}: B-spline {entry!r} repeats an interior "
+                                  "knot index")
         if key in space.bsplines:
             raise FormatError(f"{path}: duplicate B-spline {entry!r}")
-        space.bsplines[key] = [float(scale), float(coeff)]
-    space._touch()
+        space.add_bspline(key, float(scale), float(coeff))
     _check_lr_space(space, path)
     return LRSurface(space)
 
@@ -215,9 +221,9 @@ def _check_lr_space(space: LRSpace, path: str) -> None:
         space.elements()
     except MeshError as exc:
         raise FormatError(f"{path}: segments do not form a box partition: {exc}") from exc
-    for key in space.keys_sorted():
+    for key in zip(*(a.tolist() for a in space.knot_indices())):
         for axis, loc, run in ((U, key[0], key[1]), (V, key[1], key[0])):
-            covered = space.coverage(axis)[list(loc), run[0]:run[-1]].all(axis=1)
+            covered = space.coverage(axis)[loc, run[0]:run[-1]].all(axis=1)
             if not covered.all():
                 value = float(space.table(axis)[loc[int(covered.argmin())]])
                 raise FormatError(f"{path}: B-spline {[list(k) for k in key]}: knot "

@@ -9,11 +9,15 @@ meshlines are two boolean coverage arrays, one per axis, whose runs of covered
 intervals are the meshline segments.  Elements and B-spline supports are both
 ``(·, 4)`` int arrays of boxes ``(iu0, iu1, iv0, iv1)`` in table indices.
 
-A tensor-product B-spline is identified by its pair of local knot index
-tuples; the space keeps a scalar height coefficient and a scaling factor per
-B-spline.  Refinement inserts meshline segments, subdivides the B-splines the
-segment traverses and re-establishes minimal support, preserving the
-represented geometry and partition of unity.
+A tensor-product B-spline is a pair of local knot index vectors with a
+scaling factor and a height coefficient, kept in one array store with one
+row per B-spline ever added: index rows ``(·, p1 + 2)`` and ``(·, p2 + 2)``,
+scale, coefficient and an alive flag.  Rows never move, so a row is an id
+that survives remaps and refinements, and row order is the insertion order
+the split cascade traverses.  A cached ``np.lexsort`` of the index columns
+gives the sorted order of every per-B-spline array.  Refinement inserts
+meshline segments, subdivides the B-splines the segment traverses and
+re-establishes minimal support, preserving geometry and partition of unity.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ class LRSpace:
     """An LR-mesh together with the collection of B-splines spanning it.
 
     Use :func:`make_tensor_mesh` to construct one.  Mutation happens through
-    :meth:`ensure_values`, :meth:`insert_segment` and
-    :meth:`try_apply_segments`; everything else is a read-only query.
+    :meth:`ensure_values`, :meth:`insert_segment`, :meth:`try_apply_segments`,
+    :meth:`add_bspline` and :meth:`set_coeffs`; the rest are read-only queries.
     """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, degrees: tuple[int, int]):
@@ -79,8 +83,13 @@ class LRSpace:
         # the meshlines: see coverage()
         self._cov = {U: np.zeros((len(self.u), len(self.v) - 1), dtype=bool),
                      V: np.zeros((len(self.v), len(self.u) - 1), dtype=bool)}
-        # (ku tuple, kv tuple) -> [scale, coeff]
-        self.bsplines: dict[tuple[tuple[int, ...], tuple[int, ...]], list[float]] = {}
+        # the B-spline store (see the module docstring): rows [0, _n) are in use
+        self._ku = np.zeros((64, self.degrees[0] + 2), dtype=np.int64)
+        self._kv = np.zeros((64, self.degrees[1] + 2), dtype=np.int64)
+        self._scale, self._coeff = np.zeros(64), np.zeros(64)
+        self._alive = np.zeros(64, dtype=bool)
+        self._n = 0
+        self._index: dict | None = {}    # see bsplines
         self._cache: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -95,24 +104,51 @@ class LRSpace:
         return self.u if axis == U else self.v
 
     def __len__(self) -> int:
-        return len(self.bsplines)
+        return int(np.count_nonzero(self._alive[:self._n]))
+
+    @property
+    def bsplines(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """``(ku tuple, kv tuple) -> store row`` of every B-spline, in row
+        order: the split cascade looks up an existing child here.  Rebuilt
+        from the store on first use after a knot-table remap."""
+        if self._index is None:
+            rows = np.flatnonzero(self._alive[:self._n])
+            self._index = dict(zip(self._keys(rows), rows.tolist()))
+        return self._index
+
+    def _keys(self, rows: np.ndarray) -> list:
+        return list(zip(map(tuple, self._ku[rows].tolist()),
+                        map(tuple, self._kv[rows].tolist())))
+
+    def _sorted(self) -> tuple[np.ndarray, ...]:
+        # the alive rows in key order, their knot index rows and support boxes
+        entry = self._cache.get("sorted")
+        if entry is None:
+            rows = np.flatnonzero(self._alive[:self._n])
+            # lexsort's last key is the primary one
+            rows = rows[np.lexsort(np.hstack([self._ku[rows], self._kv[rows]]).T[::-1])]
+            ku, kv = self._ku[rows], self._kv[rows]
+            boxes = np.stack([ku[:, 0], ku[:, -1], kv[:, 0], kv[:, -1]], axis=1)
+            entry = self._cache["sorted"] = (rows, ku, kv, boxes)
+        return entry
+
+    def bspline_ids(self) -> np.ndarray:
+        """Store rows of the B-splines in :meth:`keys_sorted` order.  A row is
+        its B-spline's id for as long as the B-spline is in the space."""
+        return self._sorted()[0]
+
+    def knot_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Local knot index rows ``(N, p1 + 2)`` and ``(N, p2 + 2)`` in
+        :meth:`keys_sorted` order."""
+        return self._sorted()[1:3]
 
     def keys_sorted(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        # one cache entry holds the keys and, once built, their support boxes
-        entry = self._cache.get("keys")
-        if entry is None:
-            entry = self._cache["keys"] = [sorted(self.bsplines), None]
-        return entry[0]
+        return self._keys(self.bspline_ids())
 
     def support_boxes(self) -> np.ndarray:
         """``(N, 4)`` int array of B-spline support boxes ``(iu0, iu1, iv0,
         iv1)`` as table indices, in :meth:`keys_sorted` order."""
-        keys = self.keys_sorted()
-        entry = self._cache["keys"]
-        if entry[1] is None:
-            entry[1] = np.array([(ku[0], ku[-1], kv[0], kv[-1]) for ku, kv in keys],
-                                dtype=np.int64).reshape(-1, 4)
-        return entry[1]
+        return self._sorted()[3]
 
     def support_bounds(self) -> np.ndarray:
         """``(N, 4)`` float array of support boxes ``(u0, u1, v0, v1)``."""
@@ -123,14 +159,13 @@ class LRSpace:
         return np.stack([self.u[iu0], self.u[iu1], self.v[iv0], self.v[iv1]], axis=1)
 
     def scale_array(self) -> np.ndarray:
-        return np.array([self.bsplines[k][0] for k in self.keys_sorted()])
+        return self._scale[self.bspline_ids()]
 
     def coeff_array(self) -> np.ndarray:
-        return np.array([self.bsplines[k][1] for k in self.keys_sorted()])
+        return self._coeff[self.bspline_ids()]
 
     def set_coeffs(self, coeffs: np.ndarray) -> None:
-        for k, c in zip(self.keys_sorted(), coeffs):
-            self.bsplines[k][1] = float(c)
+        self._coeff[self.bspline_ids()] = coeffs
 
     def segments(self) -> list[MeshSegment]:
         """One segment per run of covered intervals in a coverage row: ``u``
@@ -144,12 +179,21 @@ class LRSpace:
                     for f, a, b in zip(fixed.tolist(), lo.tolist(), hi.tolist())]
         return out
 
-    def local_knot_values(self, key) -> tuple[np.ndarray, np.ndarray]:
-        ku, kv = key
-        return self.u[list(ku)], self.v[list(kv)]
-
     def _touch(self) -> None:
         self._cache.clear()
+
+    def add_bspline(self, key, scale: float, coeff: float) -> None:
+        """Append a B-spline that is not in the space yet: its ``(ku, kv)``
+        local knot indices, scaling factor and coefficient."""
+        n = self._n
+        if n == len(self._alive):
+            for name in ("_ku", "_kv", "_scale", "_coeff", "_alive"):
+                setattr(self, name, np.concatenate([getattr(self, name)] * 2))
+        self._ku[n], self._kv[n] = key
+        self._scale[n], self._coeff[n], self._alive[n] = scale, coeff, True
+        self._n = n + 1
+        self.bsplines[key] = n
+        self._touch()
 
     # ------------------------------------------------------------------
     # meshline coverage
@@ -304,13 +348,11 @@ class LRSpace:
         merged = np.sort(np.concatenate([table, add]))
         imap = np.searchsorted(merged, table)
         if axis == U:
-            self.u = merged
-            self.bsplines = {(tuple(int(imap[i]) for i in ku), kv): sp
-                             for (ku, kv), sp in self.bsplines.items()}
+            self.u, knots = merged, self._ku
         else:
-            self.v = merged
-            self.bsplines = {(ku, tuple(int(imap[j]) for j in kv)): sp
-                             for (ku, kv), sp in self.bsplines.items()}
+            self.v, knots = merged, self._kv
+        knots[:self._n] = imap[knots[:self._n]]
+        self._index = None
         # new lines are empty; a line across a split interval covers both halves
         # (take keeps the row-major layout that row and column scans expect)
         cov = np.zeros((len(merged), self._cov[axis].shape[1]), dtype=bool)
@@ -326,7 +368,7 @@ class LRSpace:
         """Insert one meshline segment, splitting every B-spline it traverses
         and restoring minimal support.  Raises :class:`SegmentError` if the
         (coalesced) segment does not split any B-spline."""
-        self._insert_one(_BatchState(self), seg)
+        self._insert_one(seg)
 
     def try_apply_segments(self, segs: Iterable[MeshSegment]) -> tuple[int, int]:
         """Insert segments one at a time as :meth:`insert_segment` does, but
@@ -334,17 +376,26 @@ class LRSpace:
 
         Returns ``(inserted, dropped)``.
         """
-        state = _BatchState(self)
         inserted = dropped = 0
         for seg in segs:
             try:
-                self._insert_one(state, seg)
+                self._insert_one(seg)
                 inserted += 1
             except SegmentError:
                 dropped += 1
         return inserted, dropped
 
-    def _insert_one(self, state: "_BatchState", seg: MeshSegment) -> None:
+    def _traversed(self, axis: str, fixed: int, lo: int, hi: int) -> list:
+        """Keys of the B-splines for which the segment is a legal interior
+        knotline, in row order."""
+        n = self._n
+        loc, run = (self._ku, self._kv) if axis == U else (self._kv, self._ku)
+        loc, run = loc[:n], run[:n]
+        rows = np.flatnonzero((loc[:, 0] < fixed) & (fixed < loc[:, -1])
+                              & (run[:, 0] >= lo) & (run[:, -1] <= hi) & self._alive[:n])
+        return self._keys(rows[(loc[rows] != fixed).all(axis=1)])
+
+    def _insert_one(self, seg: MeshSegment) -> None:
         axis, fixed, lo, hi = seg.axis, seg.fixed, seg.lo, seg.hi
         table = self.table(axis)
         run = self.table(_other(axis))
@@ -353,7 +404,7 @@ class LRSpace:
         if not (0 <= lo < hi <= len(run) - 1):
             raise MeshError("segment span out of range")
         m_lo, m_hi = self.merged_extent(axis, fixed, lo, hi)
-        affected = state.traversed(axis, fixed, m_lo, m_hi)
+        affected = self._traversed(axis, fixed, m_lo, m_hi)
         if not affected:
             raise SegmentError(
                 f"segment {axis}={table[fixed]!r} span [{run[m_lo]!r}, {run[m_hi]!r}] "
@@ -362,29 +413,29 @@ class LRSpace:
         self._touch()
         work: deque = deque()
         for key in affected:
-            self._split_into(state, key, axis, fixed, work)
+            self._split_into(key, axis, fixed, work)
         while work:
             key = work.popleft()
             if key not in self.bsplines:
                 continue
             off = self.find_offense(key)
             if off is not None:
-                self._split_into(state, key, off[0], off[1], work)
+                self._split_into(key, off[0], off[1], work)
 
-    def _split_into(self, state: "_BatchState", key, axis: str, ihat: int,
-                    work: deque) -> None:
-        scale, coeff = self.bsplines.pop(key)
-        state.kill(key)
+    def _split_into(self, key, axis: str, ihat: int, work: deque) -> None:
+        index = self.bsplines
+        row = index.pop(key)
+        self._alive[row] = False
+        scale, coeff = self._scale[row], self._coeff[row]
         for child, alpha in split_knots(self, key, axis, ihat):
-            entry = self.bsplines.get(child)
-            if entry is not None:
-                s_old, p_old = entry
+            r = index.get(child)
+            if r is not None:
+                s_old, p_old = self._scale[r], self._coeff[r]
                 s_new = s_old + alpha * scale
-                entry[0] = s_new
-                entry[1] = (s_old * p_old + alpha * scale * coeff) / s_new
+                self._scale[r] = s_new
+                self._coeff[r] = (s_old * p_old + alpha * scale * coeff) / s_new
             else:
-                self.bsplines[child] = [alpha * scale, coeff]
-                state.add(child)
+                self.add_bspline(child, alpha * scale, coeff)
             work.append(child)
 
 
@@ -414,56 +465,6 @@ def split_knots(space: LRSpace, key, axis: str, ihat: int
     if axis == U:
         return [((left, kv), a1), ((right, kv), a2)]
     return [((ku, left), a1), ((ku, right), a2)]
-
-
-class _BatchState:
-    """Support-box index over the B-spline set for fast traversal queries,
-    kept in sync during a batch of segment insertions.
-
-    Slots are handed out in insertion order and never reused; ``bounds``
-    holds ``(ku[0], ku[-1], kv[0], kv[-1])`` per slot and ``alive`` marks the
-    slots whose B-spline is still in the space.  Both grow geometrically.
-    """
-
-    def __init__(self, space: LRSpace):
-        self.keys: list = list(space.bsplines)
-        self.slot: dict = {k: i for i, k in enumerate(self.keys)}
-        n = len(self.keys)
-        cap = max(2 * n, 64)
-        self.bounds = np.zeros((4, cap), dtype=np.int64)
-        self.bounds[:, :n] = np.array(
-            [(ku[0], ku[-1], kv[0], kv[-1]) for ku, kv in self.keys],
-            dtype=np.int64).reshape(n, 4).T
-        self.alive = np.zeros(cap, dtype=bool)
-        self.alive[:n] = True
-
-    def add(self, key) -> None:
-        n = len(self.keys)
-        if n == self.alive.shape[0]:
-            self.bounds = np.concatenate([self.bounds, np.zeros_like(self.bounds)], axis=1)
-            self.alive = np.concatenate([self.alive, np.zeros_like(self.alive)])
-        ku, kv = key
-        self.bounds[:, n] = (ku[0], ku[-1], kv[0], kv[-1])
-        self.alive[n] = True
-        self.slot[key] = n
-        self.keys.append(key)
-
-    def kill(self, key) -> None:
-        self.alive[self.slot[key]] = False
-
-    def traversed(self, axis: str, fixed: int, lo: int, hi: int) -> list:
-        """Alive B-splines for which the segment is a legal interior knotline,
-        in slot order."""
-        n = len(self.keys)
-        ku0, kuL, kv0, kvL = self.bounds[:, :n]
-        if axis == U:
-            mask = (ku0 < fixed) & (fixed < kuL) & (kv0 >= lo) & (kvL <= hi)
-        else:
-            mask = (kv0 < fixed) & (fixed < kvL) & (ku0 >= lo) & (kuL <= hi)
-        mask &= self.alive[:n]
-        loc_idx = 0 if axis == U else 1
-        return [key for key in map(self.keys.__getitem__, np.flatnonzero(mask))
-                if fixed not in key[loc_idx]]
 
 
 def _validate_knot_vector(knots, degree: int, name: str) -> np.ndarray:
@@ -503,7 +504,5 @@ def make_tensor_mesh(knots_u, knots_v, degrees: tuple[int, int]) -> LRSpace:
     for a in range(len(iu) - p1 - 1):
         ku = tuple(iu[a:a + p1 + 2])
         for b in range(len(iv) - p2 - 1):
-            kv = tuple(iv[b:b + p2 + 2])
-            space.bsplines[(ku, kv)] = [1.0, 0.0]
-    space._touch()
+            space.add_bspline((ku, tuple(iv[b:b + p2 + 2])), 1.0, 0.0)
     return space

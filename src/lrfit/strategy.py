@@ -352,23 +352,20 @@ def plan_min_span(flagged, space: LRSpace, acc: AccuracyLedger,
 
 
 def _local_intervals(space: LRSpace, key, axis: str) -> list[tuple[float, float]]:
-    loc = key[0] if axis == U else key[1]
-    table = space.table(axis)
-    vals = sorted(set(loc))
-    return [(float(table[a]), float(table[b]))
-            for a, b in zip(vals[:-1], vals[1:])]
+    vals = space.table(axis)[np.unique(key[0] if axis == U else key[1])].tolist()
+    return list(zip(vals[:-1], vals[1:]))
 
 
 def _interval_spans(space: LRSpace, flagged_b, dirs: tuple[str, ...], min_interval: float):
     """Yield ``(bi, axis, a, b, segment)`` per flagged B-spline, direction
     and local knot interval ``[a, b]`` that may be halved: the midpoint
     segment spans the B-spline's full orthogonal support."""
-    keys = space.keys_sorted()
+    ku, kv = space.knot_indices()
     supp = space.support_bounds().tolist()
     for bi in flagged_b:
         for axis in dirs:
             _, _, o0, o1 = _axis_ranges(supp[bi], axis)
-            for a, b in _local_intervals(space, keys[bi], axis):
+            for a, b in _local_intervals(space, (ku[bi], kv[bi]), axis):
                 if _wide_enough(a, b, min_interval):
                     yield bi, axis, a, b, PlanSegment(axis, (a + b) / 2.0, o0, o1)
 

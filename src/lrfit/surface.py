@@ -72,12 +72,11 @@ class LRSurface:
         if (uu < u0).any() or (uu > u1).any() or (vv < v0).any() or (vv > v1).any():
             raise DomainError("query point outside the surface domain")
         _, order, start = _cell_order(sp, uu, vv)
-        keys = sp.keys_sorted()
+        weight = sp.scale_array() * sp.coeff_array()
         out = np.zeros_like(uu)
         # every point takes its terms in key order, as a sum over all B-splines would
-        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(keys))):
-            scale, coeff = sp.bsplines[keys[bi]]
-            out[ids] += scale * coeff * ru * rv
+        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(weight))):
+            out[ids] += weight[bi] * ru * rv
         out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out
 
@@ -101,7 +100,7 @@ def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
     in its support box: those points and its two univariate factors.  The
     support is a union of elements, hence of grid cells, so its points are
     one run of ``order`` per support column."""
-    keys = space.keys_sorted()
+    ku, kv = space.knot_indices()
     p1, p2 = space.degrees
     u1, v1 = float(space.u[-1]), float(space.v[-1])
     nv = len(space.v) - 1
@@ -116,7 +115,7 @@ def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
     lo, hi, first, last = lo.tolist(), hi.tolist(), first.tolist(), (first + n_col).tolist()
     for k in np.flatnonzero(n_pts).tolist():
         ids = np.concatenate([order[lo[j]:hi[j]] for j in range(first[k], last[k])])
-        tu, tv = space.local_knot_values(keys[bis[k]])
+        tu, tv = space.u[ku[bis[k]]], space.v[kv[bis[k]]]
         yield bis[k], ids, basis_value(tu, p1, x[ids], u1), basis_value(tv, p2, y[ids], v1)
 
 
@@ -223,38 +222,36 @@ def _column_matrix(cols, scales, n_rows: int) -> sparse.csc_matrix:
 class Collocation:
     """Cache of per-B-spline basis rows at the cloud points.
 
-    Rows store the raw product ``R(x) R(y)`` keyed by local knot *values*, so
-    they survive both knot-table remaps and scaling-factor updates; only
-    B-splines new to the space need evaluation after a refinement.  Each row
-    is one column of the collocation matrix.  The matrix built after an
+    Rows store the raw product ``R(x) R(y)`` keyed by B-spline id (its store
+    row), which survives both knot-table remaps and scaling-factor updates;
+    only new ids need evaluation after a refinement.  Each row is one column
+    of the collocation matrix, in sorted order.  The matrix built after an
     :meth:`update` is kept for the :meth:`predict` that follows the fit.
     """
 
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud
-        self._rows: dict = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._matrix = None
 
     def update(self, space: LRSpace, assignment: Assignment) -> None:
         self._matrix = None
-        self._order = [tuple(map(tuple, space.local_knot_values(key)))
-                       for key in space.keys_sorted()]
-        wanted = set(self._order)
-        for vk in self._rows.keys() - wanted:
-            del self._rows[vk]
-        new = [bi for bi, vk in enumerate(self._order) if vk not in self._rows]
+        self._ids = space.bspline_ids().tolist()
+        for i in self._rows.keys() - set(self._ids):
+            del self._rows[i]
+        new = [bi for bi, i in enumerate(self._ids) if i not in self._rows]
         for bi in new:   # a B-spline without points keeps an empty row
-            self._rows[self._order[bi]] = (np.empty(0, dtype=np.int64), np.empty(0))
+            self._rows[self._ids[bi]] = (np.empty(0, dtype=np.int64), np.empty(0))
         for bi, ids, ru, rv in _bspline_points(space, assignment.order, assignment.start,
                                                self.cloud.x, self.cloud.y, new):
             w = ru * rv
             nz = w > 0.0
-            self._rows[self._order[bi]] = (ids[nz], w[nz])
+            self._rows[self._ids[bi]] = (ids[nz], w[nz])
 
     def matrix(self, space: LRSpace):
         """Sparse collocation matrix ``A[k, i] = s_i R_i(x_k, y_k)`` in CSR
         form, assembled column by column from the cached rows."""
-        cols = [self._rows[vk] for vk in self._order]
+        cols = [self._rows[i] for i in self._ids]
         self._matrix = _column_matrix(cols, space.scale_array(), len(self.cloud)).tocsr()
         return self._matrix
 

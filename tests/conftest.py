@@ -78,6 +78,12 @@ def tensor_eval_oracle(knots_u, knots_v, degrees, coeffs, u, v):
     return np.einsum("ki,kj,ij->k", bu, bv, coeffs)
 
 
+def local_knot_values(space: LRSpace, key) -> tuple[np.ndarray, np.ndarray]:
+    """Local knot vectors of a ``(ku, kv)`` index key, read from the tables."""
+    ku, kv = key
+    return space.u[list(ku)], space.v[list(kv)]
+
+
 def support_values(space: LRSpace, key) -> tuple[float, float, float, float]:
     """Support box ``(u0, u1, v0, v1)`` read from the key's end knots, not
     from the library's support-box array."""

@@ -16,8 +16,8 @@ from lrfit.io import gen_synthetic, write_surface
 from lrfit.mesh import U, V, make_tensor_mesh
 from lrfit.surface import LRSurface, PointCloud
 
-from conftest import (ALL_DEGREES, random_refined_space, random_refinement_step,
-                      tensor_eval_oracle, uniform_tensor_space)
+from conftest import (ALL_DEGREES, local_knot_values, random_refined_space,
+                      random_refinement_step, tensor_eval_oracle, uniform_tensor_space)
 
 CRITERIA = {
     1: "partition of unity <= 1e-12 on 50 refined meshes, < 10 s",
@@ -39,8 +39,8 @@ def pou_residual(space, n_pts, rng):
     uu = rng.uniform(space.u[0], space.u[-1], n_pts)
     vv = rng.uniform(space.v[0], space.v[-1], n_pts)
     tot = np.zeros(n_pts)
-    for key, (s, _c) in space.bsplines.items():
-        tu, tv = space.local_knot_values(key)
+    for key, s in zip(space.keys_sorted(), space.scale_array()):
+        tu, tv = local_knot_values(space, key)
         tot += (s * basis_value(tu, space.degrees[0], uu, space.u[-1])
                 * basis_value(tv, space.degrees[1], vv, space.v[-1]))
     return np.abs(tot - 1.0).max()

@@ -275,14 +275,14 @@ def coo_collocation_matrix(colloc, space):
 
     scales = space.scale_array()
     rows, cols, vals = [], [], []
-    for bi, vk in enumerate(colloc._order):
-        ids, w = colloc._rows[vk]
+    for bi, i in enumerate(colloc._ids):
+        ids, w = colloc._rows[i]
         rows.append(ids)
         cols.append(np.full(len(ids), bi, dtype=np.int64))
         vals.append(scales[bi] * w)
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(colloc.cloud), len(colloc._order))).tocsr()
+        shape=(len(colloc.cloud), len(colloc._ids))).tocsr()
 
 
 class TestOneMatrixPerFit:

@@ -18,7 +18,7 @@ from lrfit.driver import RunConfig, run
 from lrfit.io import gen_synthetic, read_surface
 from lrfit.surface import Collocation, DomainError, LRSurface, PointCloud, assign_points
 
-from conftest import random_refined_space
+from conftest import local_knot_values, random_refined_space
 
 DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -56,7 +56,7 @@ def old_evaluate(space, u, v):
         ue, ve = uu[mask], vv[mask]
         acc = np.zeros_like(ue)
         for bi in e2b[int(e)]:
-            tu, tv = space.local_knot_values(keys[bi])
+            tu, tv = local_knot_values(space, keys[bi])
             acc += (scales[bi] * coeffs[bi]
                     * basis_value(tu, p1, ue, u1)
                     * basis_value(tv, p2, ve, v1))
@@ -83,7 +83,7 @@ def old_columns(space, x, y):
     for bi, key in enumerate(space.keys_sorted()):
         parts = [by_element[int(e)] for e in b2e[bi]]
         ids = np.concatenate(parts) if parts else np.empty(0, dtype=int)
-        tu, tv = space.local_knot_values(key)
+        tu, tv = local_knot_values(space, key)
         w = basis_value(tu, p1, x[ids], u1) * basis_value(tv, p2, y[ids], v1)
         cols.append((ids[w > 0.0], w[w > 0.0]))
     return cols
@@ -96,9 +96,9 @@ def as_pairs(ids, w):
 def assert_same_columns(colloc, space, cloud):
     """The cached rows of ``colloc`` equal the old gather as (row, value) sets."""
     ref = old_columns(space, cloud.x, cloud.y)
-    assert len(colloc._order) == len(ref)
-    for vk, (ids, w) in zip(colloc._order, ref):
-        got_ids, got_w = colloc._rows[vk]
+    assert len(colloc._ids) == len(ref)
+    for i, (ids, w) in zip(colloc._ids, ref):
+        got_ids, got_w = colloc._rows[i]
         assert len(got_ids) == len(ids)
         assert as_pairs(got_ids, got_w) == as_pairs(ids, w)
 
@@ -232,7 +232,7 @@ class TestColumnsEqualElementGather:
         colloc = Collocation(cloud)
         colloc.update(space, assign_points(LRSurface(space), cloud))
         assert_same_columns(colloc, space, cloud)
-        assert sum(len(colloc._rows[vk][0]) == 0 for vk in colloc._order) > len(space) // 2
+        assert sum(len(colloc._rows[i][0]) == 0 for i in colloc._ids) > len(space) // 2
         assert np.array_equal(LRSurface(space).evaluate(uu, vv), old_evaluate(space, uu, vv))
 
     def test_every_iteration_of_an_efb_run(self, monkeypatch):

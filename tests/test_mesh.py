@@ -9,8 +9,8 @@ from lrfit.basis import basis_value
 from lrfit.mesh import (LRSpace, MeshError, MeshSegment, SegmentError, U, V,
                         make_tensor_mesh, split_knots)
 
-from conftest import (ALL_DEGREES, element_boxes_oracle, random_refined_space,
-                      support_values, uniform_tensor_space)
+from conftest import (ALL_DEGREES, element_boxes_oracle, local_knot_values,
+                      random_refined_space, support_values, uniform_tensor_space)
 
 
 def partition_residual(space, n=200, seed=0):
@@ -18,8 +18,8 @@ def partition_residual(space, n=200, seed=0):
     uu = rng.uniform(space.u[0], space.u[-1], n)
     vv = rng.uniform(space.v[0], space.v[-1], n)
     tot = np.zeros(n)
-    for key, (s, _c) in space.bsplines.items():
-        tu, tv = space.local_knot_values(key)
+    for key, s in zip(space.keys_sorted(), space.scale_array()):
+        tu, tv = local_knot_values(space, key)
         tot += (s * basis_value(tu, space.degrees[0], uu, space.u[-1])
                 * basis_value(tv, space.degrees[1], vv, space.v[-1]))
     return np.abs(tot - 1.0).max()
@@ -132,7 +132,7 @@ class TestSplitIdentity:
             y = rng.uniform(sp2.v[0], sp2.v[-1], 100)
 
             def ev(space, k):
-                tu, tv = space.local_knot_values(k)
+                tu, tv = local_knot_values(space, k)
                 return (basis_value(tu, degree, x, space.u[-1])
                         * basis_value(tv, degree, y, space.v[-1]))
 
@@ -493,19 +493,13 @@ class TestTraversalIndex:
     def test_matches_bruteforce_scan_in_insertion_order(self, monkeypatch):
         """Every traversal query of a refinement batch returns exactly the
         keys a scan over ``space.bsplines`` finds, in the same order."""
-        import lrfit.mesh as mesh
-
-        init, traversed = mesh._BatchState.__init__, mesh._BatchState.traversed
+        traversed = LRSpace._traversed
         queries = {"n": 0, "hits": 0}
-
-        def recording_init(self, space):
-            init(self, space)
-            self.checked_space = space
 
         def checked(self, axis, fixed, lo, hi):
             got = traversed(self, axis, fixed, lo, hi)
             li = 0 if axis == U else 1
-            expected = [key for key in self.checked_space.bsplines
+            expected = [key for key in self.bsplines
                         if key[li][0] < fixed < key[li][-1]
                         and key[1 - li][0] >= lo and key[1 - li][-1] <= hi
                         and fixed not in key[li]]
@@ -514,8 +508,7 @@ class TestTraversalIndex:
             queries["hits"] += len(got)
             return got
 
-        monkeypatch.setattr(mesh._BatchState, "__init__", recording_init)
-        monkeypatch.setattr(mesh._BatchState, "traversed", checked)
+        monkeypatch.setattr(LRSpace, "_traversed", checked)
         for i in range(12):
             random_refined_space(4000 + i, ALL_DEGREES[i % 6], n_insertions=25)
         # a multi-segment batch, as the adaptive loop applies them
@@ -526,5 +519,5 @@ class TestTraversalIndex:
         segs += [MeshSegment(V, 2 * k + 1, 0, len(sp.u) - 1) for k in range(8)]
         n_before = len(sp)
         assert sp.try_apply_segments(segs) == (16, 0)
-        assert len(sp) > 2 * n_before     # the slot arrays had to grow
+        assert len(sp) > 2 * n_before     # the store had to grow
         assert queries["n"] > 300 and queries["hits"] > 1000, queries

@@ -10,7 +10,7 @@ from lrfit.surface import (AccuracyLedger, Collocation, DomainError, LRSurface,
                            PointCloud, approximation_efficiency, assign_points,
                            compute_accuracy)
 
-from conftest import (random_refined_space, tensor_eval_oracle,
+from conftest import (local_knot_values, random_refined_space, tensor_eval_oracle,
                       uniform_tensor_space)
 
 
@@ -93,8 +93,8 @@ class TestEvaluation:
         uu = rng.uniform(sp.u[0], sp.u[-1], 50)
         vv = rng.uniform(sp.v[0], sp.v[-1], 50)
         naive = np.zeros(50)
-        for key, (s, c) in sp.bsplines.items():
-            tu, tv = sp.local_knot_values(key)
+        for key, s, c in zip(sp.keys_sorted(), sp.scale_array(), sp.coeff_array()):
+            tu, tv = local_knot_values(sp, key)
             naive += (s * c * basis_value(tu, sp.degrees[0], uu, sp.u[-1])
                       * basis_value(tv, sp.degrees[1], vv, sp.v[-1]))
         assert np.abs(surf.evaluate(uu, vv) - naive).max() < 1e-12
