@@ -189,12 +189,11 @@ def read_surface(path: str) -> LRSurface:
             raise FormatError(f"{path}: B-spline {entry!r} has the wrong "
                               "local knot count for its degree")
         for idx, n in ((key[0], nu), (key[1], nv)):
-            arr = np.asarray(idx)
-            if (arr < 0).any() or (arr >= n).any() or (np.diff(arr) < 0).any():
+            if not (0 <= idx[0] and idx[-1] < n and all(a <= b for a, b in zip(idx, idx[1:]))):
                 raise FormatError(f"{path}: B-spline {entry!r} indexes outside "
                                   "the knot tables")
             # interior knots are simple; only the boundary ones repeat
-            if np.isin(arr[1:][np.diff(arr) == 0], (0, n - 1), invert=True).any():
+            if any(a == b and 0 < a < n - 1 for a, b in zip(idx, idx[1:])):
                 raise FormatError(f"{path}: B-spline {entry!r} repeats an interior "
                                   "knot index")
         if key in space.bsplines:

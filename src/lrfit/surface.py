@@ -72,11 +72,11 @@ class LRSurface:
         if (uu < u0).any() or (uu > u1).any() or (vv < v0).any() or (vv > v1).any():
             raise DomainError("query point outside the surface domain")
         _, order, start = _cell_order(sp, uu, vv)
-        weight = sp.scale_array() * sp.coeff_array()
+        sc = sp.scale_array() * sp.coeff_array()
         out = np.zeros_like(uu)
         # every point takes its terms in key order, as a sum over all B-splines would
-        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(weight))):
-            out[ids] += weight[bi] * ru * rv
+        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(sc))):
+            out[ids] += sc[bi] * ru * rv
         out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out
 
@@ -220,7 +220,7 @@ def _column_matrix(cols, scales, n_rows: int) -> sparse.csc_matrix:
 
 
 class Collocation:
-    """Cache of per-B-spline basis rows at the cloud points.
+    """Cache of per-B-spline basis rows at the cloud points, for one space.
 
     Rows store the raw product ``R(x) R(y)`` keyed by B-spline id (its store
     row), which survives both knot-table remaps and scaling-factor updates;

@@ -268,6 +268,11 @@ class TestSurfaceDocument:
         uu = rng.uniform(u0, u1, 500)
         vv = rng.uniform(v0, v1, 500)
         assert np.array_equal(surf.evaluate(uu, vv), again.evaluate(uu, vv))
+        # the read-back check of the surface-query benchmark (perfbench/workloads.py)
+        assert len(again.space.bsplines) == len(surf.space.bsplines)
+        assert again.space.keys_sorted() == surf.space.keys_sorted()
+        assert np.array_equal(again.space.coeff_array(), surf.space.coeff_array())
+        assert np.array_equal(again.space.scale_array(), surf.space.scale_array())
 
     def test_byte_stable(self, tmp_path):
         surf = self.surface()
@@ -432,6 +437,37 @@ class TestNotAnLRSpace:
         with pytest.raises(FormatError, match=re.escape(
                 f"bad.lrb: B-spline {doc['bsplines'][0]!r} has a scale that is "
                 "not a finite positive number")):
+            self.read(doc, tmp_path)
+
+    def test_domain_not_the_knot_extent(self, fitted_doc, tmp_path):
+        extent = [fitted_doc["knots_u"][0], fitted_doc["knots_u"][-1],
+                  fitted_doc["knots_v"][0], fitted_doc["knots_v"][-1]]
+        assert fitted_doc["domain"] == extent
+        one_ulp_in = extent[:3] + [float(np.nextafter(extent[3], 0.0))]
+        for domain in (None, [0, 1, 0, 1], extent[:3], one_ulp_in, "full"):
+            doc = copy.deepcopy(fitted_doc)
+            if domain is None:
+                del doc["domain"]
+            else:
+                doc["domain"] = domain
+            with pytest.raises(FormatError, match=re.escape(
+                    f"bad.lrb: domain must be the knot-table extent {extent!r}, "
+                    f"got {domain!r}")):
+                self.read(doc, tmp_path)
+
+    @pytest.mark.parametrize("direction", [0, 1])
+    def test_repeated_interior_knot_index(self, fitted_doc, tmp_path, direction):
+        """Only the first and last table index may repeat, as the boundary
+        B-splines of the fitted document do."""
+        doc = copy.deepcopy(fitted_doc)
+        n = len(doc["knots_u" if direction == 0 else "knots_v"])
+        i = next(i for i, b in enumerate(doc["bsplines"])
+                 if 0 < b[direction][0] and b[direction][-1] < n - 1)
+        loc = doc["bsplines"][i][direction]
+        doc["bsplines"][i][direction] = [loc[0], loc[1], loc[1]] + loc[2:-1]
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad.lrb: B-spline {doc['bsplines'][i]!r} repeats an interior "
+                "knot index")):
             self.read(doc, tmp_path)
 
 

@@ -1,13 +1,16 @@
 """LR mesh structure: insertion, minimal support, elements, scaling."""
 
+from collections import deque
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrfit.basis import basis_value
-from lrfit.mesh import (LRSpace, MeshError, MeshSegment, SegmentError, U, V,
-                        make_tensor_mesh, split_knots)
+from lrfit.mesh import (SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, SegmentError,
+                        U, V, make_tensor_mesh, split_knots)
 
 from conftest import (ALL_DEGREES, element_boxes_oracle, local_knot_values,
                       random_refined_space, support_values, uniform_tensor_space)
@@ -353,10 +356,10 @@ class TestCoverageAgainstSpanLists:
 
 
 @st.composite
-def tensor_meshes(draw):
+def tensor_meshes(draw, degree_pairs=st.sampled_from(ALL_DEGREES)):
     """A tensor mesh of random degrees over 1 to 5 intervals of random
     integer widths per direction."""
-    degrees = draw(st.sampled_from(ALL_DEGREES))
+    degrees = draw(degree_pairs)
     knots = []
     for p in degrees:
         widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
@@ -366,6 +369,30 @@ def tensor_meshes(draw):
 
 
 _segment = st.tuples(st.sampled_from([U, V]), _index, _index, _index)
+
+
+def plan_batch(space, batch):
+    """Midpoint segments whose ends lie on meshlines crossing their interval,
+    as ``(axis, value, lo value, hi value)``."""
+    planned = []
+    for axis, i, a, b in batch:
+        table = space.table(axis)
+        run = space.table(V if axis == U else U)
+        i %= len(table) - 1
+        cands = np.flatnonzero(space.coverage(V if axis == U else U)[:, i])
+        lo, hi = sorted((int(cands[a % len(cands)]), int(cands[b % len(cands)])))
+        if lo < hi:
+            planned.append((axis, 0.5 * (table[i] + table[i + 1]), run[lo], run[hi]))
+    return planned
+
+
+def batch_segments(space, planned):
+    """The planned segments in table indices, once their values are in the
+    tables."""
+    return [MeshSegment(axis, int(np.searchsorted(space.table(axis), value)),
+                        int(np.searchsorted(space.table(V if axis == U else U), lo)),
+                        int(np.searchsorted(space.table(V if axis == U else U), hi)))
+            for axis, value, lo, hi in planned]
 
 
 class TestRandomSegmentSequences:
@@ -378,22 +405,10 @@ class TestRandomSegmentSequences:
         first, then indices.  The mesh keeps the union-find elements, every
         B-spline keeps minimal support and the basis sums to one."""
         for batch in batches:
-            planned = []
-            for axis, i, a, b in batch:
-                table = space.table(axis)
-                run = space.table(V if axis == U else U)
-                i %= len(table) - 1
-                cands = np.flatnonzero(space.coverage(V if axis == U else U)[:, i])
-                lo, hi = sorted((int(cands[a % len(cands)]), int(cands[b % len(cands)])))
-                if lo < hi:
-                    planned.append((axis, 0.5 * (table[i] + table[i + 1]), run[lo], run[hi]))
+            planned = plan_batch(space, batch)
             for axis in (U, V):
                 space.ensure_values(axis, [p[1] for p in planned if p[0] == axis])
-            segs = [MeshSegment(axis, int(np.searchsorted(space.table(axis), value)),
-                                int(np.searchsorted(space.table(V if axis == U else U), lo)),
-                                int(np.searchsorted(space.table(V if axis == U else U), hi)))
-                    for axis, value, lo, hi in planned]
-            space.try_apply_segments(segs)
+            space.try_apply_segments(batch_segments(space, planned))
             assert {tuple(e) for e in space.elements().tolist()} == element_boxes_oracle(space)
         assert all(space.has_minimal_support(k) for k in space.bsplines)
         assert partition_residual(space, n=100) < 1e-12
@@ -521,3 +536,128 @@ class TestTraversalIndex:
         assert sp.try_apply_segments(segs) == (16, 0)
         assert len(sp) > 2 * n_before     # the store had to grow
         assert queries["n"] > 300 and queries["hits"] > 1000, queries
+
+
+# ----------------------------------------------------------------------
+# the array store against the former dict-of-tuples B-spline store
+
+class DictStore:
+    """The former B-spline store: a dict from ``(ku tuple, kv tuple)`` to
+    ``[scale, coeff]`` in insertion order, remapped key by key when a knot
+    table grows, and refined by the former cascade, whose traversal scans the
+    dict.  Its mesh is an :class:`LRSpace` that holds no B-splines.  Built
+    from a tensor mesh, whose insertion order is its sorted order."""
+
+    def __init__(self, space):
+        self.mesh = LRSpace(space.u, space.v, space.degrees)
+        for seg in space.segments():
+            self.mesh._add_span(seg.axis, seg.fixed, seg.lo, seg.hi)
+        self.bsplines = {key: [float(s), float(c)] for key, s, c in
+                         zip(space.keys_sorted(), space.scale_array(), space.coeff_array())}
+
+    def ensure_values(self, axis, values):
+        table = self.mesh.table(axis)
+        self.mesh.ensure_values(axis, values)
+        imap = np.searchsorted(self.mesh.table(axis), table)
+        if axis == U:
+            self.bsplines = {(tuple(int(imap[i]) for i in ku), kv): sp
+                             for (ku, kv), sp in self.bsplines.items()}
+        else:
+            self.bsplines = {(ku, tuple(int(imap[j]) for j in kv)): sp
+                             for (ku, kv), sp in self.bsplines.items()}
+
+    def try_apply_segments(self, segs):
+        """The keys each segment traverses, in traversal order."""
+        return [self.insert(seg) for seg in segs]
+
+    def insert(self, seg):
+        axis, fixed = seg.axis, seg.fixed
+        m_lo, m_hi = self.mesh.merged_extent(axis, fixed, seg.lo, seg.hi)
+        li = 0 if axis == U else 1
+        affected = [key for key in self.bsplines
+                    if key[li][0] < fixed < key[li][-1] and fixed not in key[li]
+                    and key[1 - li][0] >= m_lo and key[1 - li][-1] <= m_hi]
+        if affected:
+            self.mesh._add_span(axis, fixed, seg.lo, seg.hi)
+            work = deque()
+            for key in affected:
+                self.split(key, axis, fixed, work)
+            while work:
+                key = work.popleft()
+                if key in self.bsplines and (off := self.mesh.find_offense(key)) is not None:
+                    self.split(key, off[0], off[1], work)
+        return affected
+
+    def split(self, key, axis, ihat, work):
+        scale, coeff = self.bsplines.pop(key)
+        for child, alpha in split_knots(self.mesh, key, axis, ihat):
+            entry = self.bsplines.get(child)
+            if entry is not None:
+                s_old, p_old = entry
+                s_new = s_old + alpha * scale
+                entry[0] = s_new
+                entry[1] = (s_old * p_old + alpha * scale * coeff) / s_new
+            else:
+                self.bsplines[child] = [alpha * scale, coeff]
+            work.append(child)
+
+    def keys_sorted(self):
+        return sorted(self.bsplines)
+
+    def array(self, field):
+        return np.array([self.bsplines[k][field] for k in self.keys_sorted()])
+
+    def set_coeffs(self, coeffs):
+        for k, c in zip(self.keys_sorted(), coeffs):
+            self.bsplines[k][1] = float(c)
+
+
+_growth = st.lists(st.tuples(st.sampled_from([U, V]), _index), max_size=3)
+
+
+class TestArrayStoreAgainstDictStore:
+    @given(space=tensor_meshes(st.tuples(st.sampled_from(SUPPORTED_DEGREES),
+                                         st.sampled_from(SUPPORTED_DEGREES))),
+           seed=st.integers(0, 2**32 - 1),
+           batches=st.lists(st.tuples(_growth, st.lists(_segment, min_size=1, max_size=4)),
+                            max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_keys_scales_coefficients_and_traversal(self, space, seed, batches):
+        """Random segment batches interleaved with knot-table growth and new
+        coefficients give, bit for bit, the sorted keys, scales and
+        coefficients of the dict store, and each segment traverses the same
+        B-splines in the same order."""
+        rng = np.random.default_rng(seed)
+        space.set_coeffs(rng.normal(size=len(space)))
+        oracle = DictStore(space)
+        traversals = []
+        traversed = LRSpace._traversed
+
+        def recording(self, axis, fixed, lo, hi):
+            traversals.append(traversed(self, axis, fixed, lo, hi))
+            return traversals[-1]
+
+        with mock.patch.object(LRSpace, "_traversed", recording):
+            for growth, batch in batches:
+                # values no segment uses: interval midpoints, or table values
+                for axis, k in growth:
+                    table = space.table(axis)
+                    i = k % (len(table) - 1)
+                    values = [table[i] if k % 3 == 0 else 0.5 * (table[i] + table[i + 1])]
+                    space.ensure_values(axis, values)
+                    oracle.ensure_values(axis, values)
+                planned = plan_batch(space, batch)
+                for axis in (U, V):
+                    values = [p[1] for p in planned if p[0] == axis]
+                    space.ensure_values(axis, values)
+                    oracle.ensure_values(axis, values)
+                segs = batch_segments(space, planned)
+                traversals.clear()
+                space.try_apply_segments(segs)
+                assert traversals == oracle.try_apply_segments(segs)
+                assert space.keys_sorted() == oracle.keys_sorted()
+                assert space.scale_array().tobytes() == oracle.array(0).tobytes()
+                assert space.coeff_array().tobytes() == oracle.array(1).tobytes()
+                coeffs = rng.normal(size=len(space))
+                space.set_coeffs(coeffs)
+                oracle.set_coeffs(coeffs)
