@@ -143,6 +143,7 @@ class LRSpace:
         return self._sorted()[1:3]
 
     def keys_sorted(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The ``(ku, kv)`` local knot index tuples, sorted."""
         return self._keys(self.bspline_ids())
 
     def support_boxes(self) -> np.ndarray:

@@ -246,6 +246,8 @@ def test_support_boxes_follow_keys(corpus50):
     meshes, _ = corpus50
     for sp in meshes[:10]:
         keys = sp.keys_sorted()
+        # the store's lexsort order is the tuple order
+        assert keys == sorted(sp.bsplines)
         assert sp.support_boxes().tolist() == [[ku[0], ku[-1], kv[0], kv[-1]]
                                                for ku, kv in keys]
         assert sp.support_bounds().tolist() == [list(support_values(sp, k)) for k in keys]
