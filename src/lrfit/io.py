@@ -192,6 +192,8 @@ def read_surface(path: str) -> LRSurface:
             if not (0 <= idx[0] and idx[-1] < n and all(a <= b for a, b in zip(idx, idx[1:]))):
                 raise FormatError(f"{path}: B-spline {entry!r} indexes outside "
                                   "the knot tables")
+            if idx[0] == idx[-1]:
+                raise FormatError(f"{path}: B-spline {entry!r} has an empty support")
             # interior knots are simple; only the boundary ones repeat
             if any(a == b and 0 < a < n - 1 for a, b in zip(idx, idx[1:])):
                 raise FormatError(f"{path}: B-spline {entry!r} repeats an interior "

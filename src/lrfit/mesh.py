@@ -496,10 +496,8 @@ def make_tensor_mesh(knots_u, knots_v, degrees: tuple[int, int]) -> LRSpace:
     tab_u = np.unique(fu)
     tab_v = np.unique(fv)
     space = LRSpace(tab_u, tab_v, (p1, p2))
-    for i in range(len(tab_u)):
-        space._add_span(U, i, 0, len(tab_v) - 1)
-    for j in range(len(tab_v)):
-        space._add_span(V, j, 0, len(tab_u) - 1)
+    for axis in (U, V):    # every line of the tensor grid spans the domain
+        space._cov[axis][:] = True
     iu = [0] * p1 + list(range(len(tab_u))) + [len(tab_u) - 1] * p1
     iv = [0] * p2 + list(range(len(tab_v))) + [len(tab_v) - 1] * p2
     for a in range(len(iu) - p1 - 1):

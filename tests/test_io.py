@@ -456,6 +456,16 @@ class TestNotAnLRSpace:
                 self.read(doc, tmp_path)
 
     @pytest.mark.parametrize("direction", [0, 1])
+    def test_empty_support(self, fitted_doc, tmp_path, direction):
+        doc = copy.deepcopy(fitted_doc)
+        entry = [[0, 0, 0, 1], [0, 0, 0, 1], 5.0, 1.0]
+        entry[direction] = [0, 0, 0, 0]
+        doc["bsplines"].append(entry)
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad.lrb: B-spline {entry!r} has an empty support")):
+            self.read(doc, tmp_path)
+
+    @pytest.mark.parametrize("direction", [0, 1])
     def test_repeated_interior_knot_index(self, fitted_doc, tmp_path, direction):
         """Only the first and last table index may repeat, as the boundary
         B-splines of the fitted document do."""
