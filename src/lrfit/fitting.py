@@ -12,6 +12,7 @@ the coefficients of the existing surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,16 @@ class FitConfig:
     alpha_smooth: float | None = None
     solver_tol: float = 1e-10
     solver_max_iter: int = 4000
+
+    def __post_init__(self):
+        if self.alpha_smooth is not None and not (math.isfinite(self.alpha_smooth)
+                                                  and self.alpha_smooth >= 0.0):
+            raise ValueError("alpha_smooth must be None or a finite number >= 0, "
+                             f"got {self.alpha_smooth!r}")
+        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0.0):
+            raise ValueError(f"solver_tol must be a finite number > 0, got {self.solver_tol!r}")
+        if self.solver_max_iter < 1:
+            raise ValueError(f"solver_max_iter must be at least 1, got {self.solver_max_iter!r}")
 
     def resolved_weights(self, n_points: int, domain_area: float) -> tuple[float, float]:
         a2 = 1.0 / max(n_points, 1)
@@ -155,16 +166,20 @@ def mba_update(space: LRSpace, cloud: PointCloud,
     For weights ``w_ic = s_i R_i(x_c, y_c)`` over the residuals ``r_c``:
     ``phi_ic = w_ic r_c / sum_j w_jc^2`` and
     ``dP_i = sum_c w_ic^2 phi_ic / sum_c w_ic^2``.
+
+    Memory per nonzero above the collocation cache: the CSR matrix ``w``
+    (12 B) and one float64 buffer (8 B) on its structure, which holds
+    ``w^2`` for both sums and is then cubed in place for the numerator.
     """
     a = _collocation_matrix(space, cloud, colloc, assignment)
     p = space.coeff_array()
     r = cloud.z - a @ p
-    a2 = a.multiply(a)
-    s_row = np.asarray(a2.sum(axis=1)).ravel()
+    pw = sparse.csr_matrix((a.data * a.data, a.indices, a.indptr), shape=a.shape)
+    s_row = np.asarray(pw.sum(axis=1)).ravel()
+    den = np.asarray(pw.sum(axis=0)).ravel()
     rr = np.divide(r, s_row, out=np.zeros_like(r), where=s_row > 0)
-    a3 = a2.multiply(a)
-    num = np.asarray(a3.T @ rr).ravel()
-    den = np.asarray(a2.sum(axis=0)).ravel()
+    pw.data *= a.data   # (w * w) * w, as a.multiply(a).multiply(a) gives
+    num = np.asarray(pw.T @ rr).ravel()
     dp = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return p + dp
 

@@ -1,5 +1,8 @@
 """Penalized least squares, the thin-plate penalty, and the MBA update."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,27 @@ def sample_in_space(space, n, seed):
 
 
 TIGHT = FitConfig(alpha_smooth=0.0, solver_tol=1e-13, solver_max_iter=20000)
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("field, value, rule", [
+        ("alpha_smooth", float("nan"), "None or a finite number >= 0"),
+        ("alpha_smooth", -1.0, "None or a finite number >= 0"),
+        ("alpha_smooth", float("inf"), "None or a finite number >= 0"),
+        ("solver_tol", float("nan"), "a finite number > 0"),
+        ("solver_tol", -1.0, "a finite number > 0"),
+        ("solver_tol", 0.0, "a finite number > 0"),
+        ("solver_tol", float("inf"), "a finite number > 0"),
+        ("solver_max_iter", 0, "at least 1"),
+        ("solver_max_iter", -3, "at least 1"),
+    ])
+    def test_invalid_value_rejected(self, field, value, rule):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
+            FitConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        FitConfig(alpha_smooth=None)
+        FitConfig(alpha_smooth=0.0, solver_tol=1e-300, solver_max_iter=1)
 
 
 class TestLSQ:
@@ -240,6 +264,99 @@ class TestMBA:
                 prev = rms
 
 
+def mba_update_multiply(space, cloud):
+    """The MBA update with its weight powers as scipy ``multiply`` products,
+    ``w^2 = A.multiply(A)`` and ``w^3 = w^2.multiply(A)``: the plain
+    construction the in-place update must reproduce bit for bit."""
+    colloc = Collocation(cloud)
+    colloc.update(space, assign_points(LRSurface(space), cloud))
+    a = colloc.matrix(space)
+    p = space.coeff_array()
+    r = cloud.z - a @ p
+    a2 = a.multiply(a)
+    s_row = np.asarray(a2.sum(axis=1)).ravel()
+    rr = np.divide(r, s_row, out=np.zeros_like(r), where=s_row > 0)
+    a3 = a2.multiply(a)
+    num = np.asarray(a3.T @ rr).ravel()
+    den = np.asarray(a2.sum(axis=0)).ravel()
+    dp = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return p + dp, den
+
+
+class TestMBAOracle:
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (3, 3), (2, 3)])
+    def test_bytes_equal_multiply_oracle(self, degrees):
+        space = random_refined_space(81 + sum(degrees), degrees, n_insertions=12)
+        rng = np.random.default_rng(sum(degrees))
+        n = 5000
+        # no point in the top strip leaves the B-splines there without data
+        x = rng.uniform(0.0, 1.0, n)
+        y = rng.uniform(0.0, 0.7, n)
+        cloud = PointCloud(np.c_[x, y, np.sin(6 * x) * np.cos(4 * y)])
+        space.set_coeffs(rng.normal(size=len(space)))
+        ref, den = mba_update_multiply(space, cloud)
+        assert (den == 0).any() and (den > 0).any()
+        assert mba_update(space, cloud).tobytes() == ref.tobytes()
+        # a second pass from the updated coefficients, through a kept cache
+        space.set_coeffs(ref)
+        ref2, _ = mba_update_multiply(space, cloud)
+        colloc = Collocation(cloud)
+        asn = assign_points(LRSurface(space), cloud)
+        assert mba_update(space, cloud, colloc, asn).tobytes() == ref2.tobytes()
+
+
+@pytest.fixture
+def traced():
+    """tracemalloc for one test, stopped afterwards."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryPerNonzero:
+    """Bytes per collocation nonzero on 100k points over a 16x16 degree-2
+    tensor space (900k nonzeros), traced by tracemalloc."""
+
+    #: Python objects of one cached row (dict slot, tuple, two array headers)
+    ROW_OVERHEAD = 512
+
+    def cached(self):
+        space = uniform_tensor_space((2, 2), n_elems=16)
+        rng = np.random.default_rng(91)
+        n = 100_000
+        x, y = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        cloud = PointCloud(np.c_[x, y, np.sin(5 * x) * y])
+        asn = assign_points(LRSurface(space), cloud)
+        colloc = Collocation(cloud)
+        before = tracemalloc.get_traced_memory()[0]
+        colloc.update(space, asn)
+        cache = tracemalloc.get_traced_memory()[0] - before
+        nnz = sum(len(w) for _, w in colloc._rows.values())
+        return space, cloud, asn, colloc, cache, nnz
+
+    def peak_above(self, call):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+
+    def test_cache_holds_12_bytes_per_nonzero(self, traced):
+        space, _, _, _, cache, nnz = self.cached()
+        assert cache - self.ROW_OVERHEAD * len(space) <= 12 * nnz
+
+    def test_mba_update_peak(self, traced):
+        space, cloud, asn, colloc, _, nnz = self.cached()
+        peak = self.peak_above(lambda: mba_update(space, cloud, colloc, asn))
+        assert peak <= 32 * nnz
+
+    def test_matrix_build_peak(self, traced):
+        space, _, _, colloc, _, nnz = self.cached()
+        peak = self.peak_above(lambda: colloc.matrix(space))
+        assert peak <= 25 * nnz
+
+
 class TestFitStep:
     def test_schedule_switches_to_mba(self):
         space = uniform_tensor_space((2, 2), n_elems=3)
@@ -315,6 +432,8 @@ class TestOneMatrixPerFit:
         assert len(builds) == 2
         a = build(colloc, space)
         assert np.array_equal(pred, a @ space.coeff_array())
+        assert all(ids.dtype == np.int32 for ids, _ in colloc._rows.values())
+        assert a.indices.dtype == np.int32
         ref = coo_collocation_matrix(colloc, space)
         assert np.array_equal(a.indptr, ref.indptr)
         assert np.array_equal(a.indices, ref.indices)

@@ -465,6 +465,14 @@ class TestNotAnLRSpace:
                 f"bad.lrb: B-spline {entry!r} has an empty support")):
             self.read(doc, tmp_path)
 
+    def test_duplicate_bspline(self, fitted_doc, tmp_path):
+        doc = copy.deepcopy(fitted_doc)
+        entry = copy.deepcopy(doc["bsplines"][len(doc["bsplines"]) // 2])
+        doc["bsplines"].append(entry)
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad.lrb: duplicate B-spline {entry!r}")):
+            self.read(doc, tmp_path)
+
     @pytest.mark.parametrize("direction", [0, 1])
     def test_repeated_interior_knot_index(self, fitted_doc, tmp_path, direction):
         """Only the first and last table index may repeat, as the boundary
