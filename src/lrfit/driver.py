@@ -1,11 +1,12 @@
 """The adaptive refine-and-fit loop.
 
-Starting from a coarse tensor-product surface, each iteration plans midpoint
-knot segments from the accuracy ledger of the previous fit, applies them,
-recomputes the coefficients (global least squares early, local MBA updates
-afterwards) and logs per-iteration statistics; the loop stops when every
-point is within tolerance, the iteration cap is reached, or refinement
-stalls.
+One pass of the loop fits the coefficients of the current space (global
+least squares early, local MBA updates afterwards), measures every point
+against the tolerance and logs one ledger row; iteration 0 is that pass on
+a coarse tensor-product start space.  Each later pass first plans midpoint
+knot segments from the accuracy ledger of the previous fit and applies them.
+The loop stops when every point is within tolerance, the iteration cap is
+reached, or refinement stalls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .fitting import FitConfig, FitError, fit_step
 from .mesh import SUPPORTED_DEGREES, LRSpace, make_tensor_mesh
 from .strategy import (build_plan, directions_for, parse_label, plan_to_segments,
                        should_switch)
-from .surface import (AccuracyLedger, Assignment, Collocation, LRSurface, PointCloud,
+from .surface import (AccuracyLedger, Collocation, LRSurface, PointCloud,
                       approximation_efficiency, assign_points, compute_accuracy)
 
 EXIT_CONVERGED = 0
@@ -64,6 +65,14 @@ class StagePredicate:
     avg_out_cap: float | None = None
     combinator: str = "AND"
 
+    def __post_init__(self):
+        if self.combinator not in ("AND", "OR"):
+            raise InputError(f"combinator must be 'AND' or 'OR', got {self.combinator!r}")
+        for name in ("max_out_fraction", "max_dist_cap", "avg_out_cap"):
+            cap = getattr(self, name)
+            if cap is not None and not (math.isfinite(cap) and cap >= 0.0):
+                raise InputError(f"{name} must be finite and non-negative, got {cap!r}")
+
     def satisfied(self, row: "LedgerRow") -> bool:
         checks = []
         if self.max_out_fraction is not None:
@@ -75,11 +84,7 @@ class StagePredicate:
             checks.append(row.avg_out_dist <= self.avg_out_cap)
         if not checks:
             return True
-        if self.combinator == "AND":
-            return all(checks)
-        if self.combinator == "OR":
-            return any(checks)
-        raise ValueError(f"unknown combinator {self.combinator!r}")
+        return all(checks) if self.combinator == "AND" else any(checks)
 
 
 @dataclass
@@ -158,12 +163,8 @@ def initial_elements_for(cloud: PointCloud, cfg: RunConfig) -> tuple[int, int]:
     return max(1, round(base * wx / wy)), base
 
 
-def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
-                         colloc: Collocation | None = None) -> tuple[LRSurface, Assignment]:
-    """Coarse tensor-product surface over the cloud's bounding box, fitted
-    with one penalized least-squares solve, and the cloud's assignment to
-    its elements.  A failed fit raises :class:`RunAborted` with the unfitted
-    surface and an empty ledger."""
+def initial_space(cloud: PointCloud, cfg: RunConfig) -> LRSpace:
+    """Coarse, unfitted tensor-product space over the cloud's bounding box."""
     if len(cloud) < 3:
         raise InputError("point cloud needs at least 3 points")
     u0, u1 = float(cloud.x.min()), float(cloud.x.max())
@@ -175,14 +176,7 @@ def make_initial_surface(cloud: PointCloud, cfg: RunConfig,
     p1, p2 = cfg.degrees
     ku = np.r_[[u0] * p1, np.linspace(u0, u1, nu + 1), [u1] * p1]
     kv = np.r_[[v0] * p2, np.linspace(v0, v1, nv + 1), [v1] * p2]
-    space = make_tensor_mesh(ku, kv, cfg.degrees)
-    surface = LRSurface(space)
-    assignment = assign_points(surface, cloud)
-    try:
-        fit_step(space, cloud, cfg.fit, 0, colloc, assignment)
-    except FitError as exc:
-        raise RunAborted(str(exc), surface, RunLedger()) from exc
-    return surface, assignment
+    return make_tensor_mesh(ku, kv, cfg.degrees)
 
 
 def check_finite(cloud: PointCloud) -> None:
@@ -197,26 +191,43 @@ def check_finite(cloud: PointCloud) -> None:
 def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
     """Run the adaptive loop; returns the final surface and its ledger.
 
-    Raises :class:`InputError` for unusable input and :class:`RunAborted`,
-    carrying the last surface and the ledger so far, when a fit fails.
+    Each pass assigns the points, fits, measures and logs one ledger row,
+    then refines for the next pass; iteration 0 is the pass on the start
+    space, with no refinement before it.  Raises :class:`InputError` for
+    unusable input and :class:`RunAborted`, carrying the last surface and
+    the ledger so far, when a fit fails.
     """
     check_finite(cloud)
     ledger = RunLedger()
     spec = parse_label(cfg.strategy)
     colloc = Collocation(cloud)
     t0 = time.perf_counter()
-    surface, assignment = make_initial_surface(cloud, cfg, colloc)
-    space = surface.space
-    acc = compute_accuracy(surface, cloud, assignment, cfg.tolerance,
-                           z_pred=colloc.predict(space))
-    _log_row(ledger, 0, acc, space, time.perf_counter() - t0, 0, spec.label)
-
+    space = initial_space(cloud, cfg)
+    surface = LRSurface(space)
     switch_offset = 0          # iteration at which the active strategy started
     empty_streak = 0
     history: list[tuple[int, int]] = []
-    iteration = 0
+    iteration = inserted = 0
     while True:
+        assignment = assign_points(surface, cloud)
+        try:
+            fit_step(space, cloud, cfg.fit, iteration, colloc, assignment)
+        except FitError as exc:
+            raise RunAborted(str(exc), surface, ledger) from exc
+        acc = compute_accuracy(surface, cloud, assignment, cfg.tolerance,
+                               z_pred=colloc.predict(space))
+        _log_row(ledger, iteration, acc, space, time.perf_counter() - t0,
+                 inserted, spec.label)
         g = acc.global_stats
+        if iteration > 0:
+            prev = ledger.rows[-2]
+            history.append((prev.n_out - g.n_out, len(space) - prev.n_coeff))
+            if (spec.switch_to is not None and g.n_out > 0
+                    and should_switch(history, g.n_out)):
+                spec = spec.switch_to
+                switch_offset = iteration   # threshold decay restarts
+                history.clear()
+                empty_streak = 0
         if g.n_out == 0:
             ledger.converged = True
             break
@@ -230,29 +241,8 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
         level = iteration - switch_offset
         dirs = directions_for(spec.direction_policy, level)
         plan = build_plan(spec, space, acc, dirs, level, cfg.min_interval)
-        segs = plan_to_segments(space, plan)
-        inserted, _dropped = space.try_apply_segments(segs)
+        inserted, _dropped = space.try_apply_segments(plan_to_segments(space, plan))
         empty_streak = empty_streak + 1 if inserted == 0 else 0
-        surface = LRSurface(space)
-        assignment = assign_points(surface, cloud)
-        prev_out = g.n_out
-        prev_coeff = ledger.rows[-1].n_coeff
-        try:
-            fit_step(space, cloud, cfg.fit, iteration, colloc, assignment)
-        except FitError as exc:
-            raise RunAborted(str(exc), surface, ledger) from exc
-        acc = compute_accuracy(surface, cloud, assignment, cfg.tolerance,
-                               z_pred=colloc.predict(space))
-        _log_row(ledger, iteration, acc, space, time.perf_counter() - t0,
-                 inserted, spec.label)
-        g = acc.global_stats
-        history.append((prev_out - g.n_out, len(space) - prev_coeff))
-        if spec.switch_to is not None and g.n_out > 0:
-            if should_switch(history, g.n_out):
-                spec = spec.switch_to
-                switch_offset = iteration   # threshold decay restarts
-                history.clear()
-                empty_streak = 0
 
     _finalize(ledger, cfg)
     return surface, ledger

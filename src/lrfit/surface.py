@@ -72,11 +72,15 @@ class LRSurface:
         if (uu < u0).any() or (uu > u1).any() or (vv < v0).any() or (vv > v1).any():
             raise DomainError("query point outside the surface domain")
         _, order, start = _cell_order(sp, uu, vv)
-        sc = sp.scale_array() * sp.coeff_array()
+        s, c = sp.scale_array(), sp.coeff_array()
         out = np.zeros_like(uu)
-        # every point takes its terms in key order, as a sum over all B-splines would
-        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(sc))):
-            out[ids] += sc[bi] * ru * rv
+        # every point takes its terms ((R_u R_v) s) P in key order, as the
+        # collocation matrix times the coefficients does
+        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(s))):
+            ru *= rv
+            ru *= s[bi]
+            ru *= c[bi]
+            out[ids] += ru
         out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out
 

@@ -84,10 +84,10 @@ class TestFailureExits:
         assert not out.exists()
 
     def test_non_finite_tolerance_report_exit(self, cloud_file, tmp_path, capsys):
-        from lrfit.driver import RunConfig, make_initial_surface
+        from lrfit.driver import RunConfig, run
         from lrfit.io import read_points, write_surface
 
-        surface, _ = make_initial_surface(read_points(cloud_file), RunConfig(tolerance=0.6))
+        surface, _ = run(read_points(cloud_file), RunConfig(tolerance=0.6, max_iterations=0))
         path = str(tmp_path / "s.lrb")
         write_surface(surface, path)
         argv = ["report", "--surface", path, "--points", cloud_file, "--tolerance"]
@@ -100,12 +100,12 @@ class TestFailureExits:
             assert "n_out=" not in captured.out
 
     def test_non_finite_coordinate_report_exit(self, cloud_file, tmp_path, capsys):
-        from lrfit.driver import RunConfig, make_initial_surface
+        from lrfit.driver import RunConfig, run
         from lrfit.io import read_points, write_points, write_surface
         from lrfit.surface import PointCloud
 
         cloud = read_points(cloud_file)
-        surface, _ = make_initial_surface(cloud, RunConfig(tolerance=0.6))
+        surface, _ = run(cloud, RunConfig(tolerance=0.6, max_iterations=0))
         surf_path = str(tmp_path / "s.lrb")
         write_surface(surface, surf_path)
         for row, col in ((1234, 2), (17, 0)):

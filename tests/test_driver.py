@@ -1,12 +1,14 @@
 """The adaptive loop: stop criteria, ledger content, milestones, switching."""
 
+import re
+
 import numpy as np
 import pytest
 
 from lrfit.driver import (EXIT_CONVERGED, EXIT_ITERATION_CAP, EXIT_STAGNATION,
                           InputError, LedgerRow, RunConfig, RunLedger,
-                          StagePredicate, detect_intermediate,
-                          make_initial_surface, oscillation_grade, run)
+                          StagePredicate, detect_intermediate, initial_space,
+                          oscillation_grade, run)
 from lrfit.fitting import FitConfig
 from lrfit.surface import LRSurface, PointCloud
 
@@ -51,27 +53,28 @@ class TestInitialSurface:
     def test_plane_in_every_space(self):
         cloud = plane_cloud()
         for degrees in [(1, 1), (2, 2), (3, 3)]:
-            cfg = RunConfig(tolerance=1.0, degrees=degrees,
+            cfg = RunConfig(tolerance=1.0, degrees=degrees, max_iterations=0,
                             fit=FitConfig(solver_tol=1e-13,
                                           solver_max_iter=20000))
-            surf, _ = make_initial_surface(cloud, cfg)
+            surf, _ = run(cloud, cfg)
             resid = np.abs(surf.evaluate(cloud.x, cloud.y) - cloud.z)
             assert resid.max() < 1e-8
 
     def test_one_element_bilinear_sheet(self):
         cloud = plane_cloud(n=500)
-        cfg = RunConfig(tolerance=1.0, degrees=(1, 1), initial_elements=(1, 1))
-        surf, _ = make_initial_surface(cloud, cfg)
+        cfg = RunConfig(tolerance=1.0, degrees=(1, 1), initial_elements=(1, 1),
+                        max_iterations=0)
+        surf, _ = run(cloud, cfg)
         assert len(surf.space) == 4
 
     def test_degenerate_cloud_rejected(self):
         with pytest.raises(InputError):
-            make_initial_surface(PointCloud(np.array([[1.0, 2.0, 3.0]])),
-                                 RunConfig(tolerance=1.0))
+            initial_space(PointCloud(np.array([[1.0, 2.0, 3.0]])),
+                          RunConfig(tolerance=1.0))
         column = PointCloud(np.c_[np.full(50, 2.0), np.arange(50.0),
                                   np.zeros(50)])
         with pytest.raises(InputError):
-            make_initial_surface(column, RunConfig(tolerance=1.0))
+            initial_space(column, RunConfig(tolerance=1.0))
 
     def test_aspect_adjusted_default_grid(self):
         rng = np.random.default_rng(0)
@@ -191,6 +194,31 @@ class TestIntermediateDetection:
         stage = StagePredicate(max_out_fraction=0.01, max_dist_cap=2.0,
                                combinator="OR")
         assert detect_intermediate(led, stage) == 1
+
+
+class TestStagePredicateChecks:
+    """A bad milestone is rejected when it is built, before any fit runs
+    (an unknown combinator used to raise only after the run, and a NaN cap
+    was never met)."""
+
+    @pytest.mark.parametrize("combinator", ["and", "or", "XOR", ""])
+    def test_unknown_combinator(self, combinator):
+        with pytest.raises(InputError,
+                           match=re.escape(f"combinator must be 'AND' or 'OR', got {combinator!r}")):
+            StagePredicate(max_dist_cap=1.0, combinator=combinator)
+
+    @pytest.mark.parametrize("name", ["max_out_fraction", "max_dist_cap", "avg_out_cap"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_bad_cap(self, name, value):
+        with pytest.raises(InputError,
+                           match=re.escape(f"{name} must be finite and non-negative, "
+                                           f"got {value!r}")):
+            StagePredicate(**{name: value})
+
+    def test_boundary_caps_accepted(self):
+        stage = StagePredicate(max_out_fraction=0.0, max_dist_cap=0.0, avg_out_cap=None,
+                               combinator="OR")
+        assert stage.satisfied(ledger_from([0.0], [0]).rows[0])
 
 
 class TestOscillation:

@@ -2,9 +2,10 @@
 
 ``LRSurface.evaluate`` and ``Collocation.update`` find each B-spline's points
 by slicing one cell order of the points.  The oracles below are the
-element-wise paths they replaced, kept here verbatim in behaviour: the
-element loop of the old ``evaluate``, and the gather of the per-element point
-lists over each B-spline's elements (``b2e``) of the old collocation update.
+element-wise paths they replaced: the element loop of the old ``evaluate``,
+which multiplies each term as the collocation matrix does (``R_u R_v s P``),
+and the gather of the per-element point lists over each B-spline's elements
+(``b2e``) of the old collocation update.
 """
 
 from pathlib import Path
@@ -16,7 +17,8 @@ import lrfit.surface
 from lrfit.basis import basis_value
 from lrfit.driver import RunConfig, run
 from lrfit.io import gen_synthetic, read_surface
-from lrfit.surface import Collocation, DomainError, LRSurface, PointCloud, assign_points
+from lrfit.surface import (Collocation, DomainError, LRSurface, PointCloud, assign_points,
+                           compute_accuracy)
 
 from conftest import local_knot_values, random_refined_space
 
@@ -57,9 +59,8 @@ def old_evaluate(space, u, v):
         acc = np.zeros_like(ue)
         for bi in e2b[int(e)]:
             tu, tv = local_knot_values(space, keys[bi])
-            acc += (scales[bi] * coeffs[bi]
-                    * basis_value(tu, p1, ue, u1)
-                    * basis_value(tv, p2, ve, v1))
+            acc += (basis_value(tu, p1, ue, u1) * basis_value(tv, p2, ve, v1)
+                    * scales[bi] * coeffs[bi])
         out[mask] = acc
     shp = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))[0].shape
     out = out.reshape(shp)
@@ -250,3 +251,16 @@ class TestColumnsEqualElementGather:
         _, ledger = run(cloud, RunConfig(strategy="eFB", tolerance=tol, max_iterations=5))
         assert len(checked) == len(ledger.rows) >= 3
         assert len(set(checked)) > 1   # the space grew between updates
+
+
+class TestRemeasureReproducesLedger:
+    def test_efb_fit(self):
+        """Measuring a fitted surface again through ``evaluate`` gives the
+        ledger's last row bit for bit: both heights sum ``((R_u R_v) s) P``
+        over the B-splines in key order."""
+        cloud = gen_synthetic("dunes", 1, 3000)
+        surf, ledger = run(cloud, RunConfig(strategy="eFB", tolerance=0.3, max_iterations=4))
+        g = compute_accuracy(surf, cloud, assign_points(surf, cloud), 0.3).global_stats
+        last = ledger.rows[-1]
+        assert ((g.n_out, g.max_dist, g.avg_dist, g.avg_out_dist)
+                == (last.n_out, last.max_dist, last.avg_dist, last.avg_out_dist))
