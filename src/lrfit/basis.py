@@ -55,3 +55,28 @@ def basis_deriv(knots, degree: int, x, order: int,
                 acc += ((t[j + d + 1] - x) if value_step else -d) / den * levels[j + 1]
             levels[j] = acc
     return levels[0]
+
+
+def basis_value_pairs(knots, x) -> np.ndarray:
+    """Value of the B-spline with local knots ``knots[:, k]`` at ``x[k]``, for
+    every column ``k`` of the ``(degree + 2, M)`` array ``knots``.
+
+    The same Cox–de Boor triangle as :func:`basis_deriv`, term for term, run
+    over all pairs at once on contiguous knot rows.  Every interval is
+    half-open, so a point at the domain maximum reads 0: use it for interior
+    points such as element centres.
+    """
+    t = np.asarray(knots, dtype=float)
+    x = np.asarray(x, dtype=float)
+    p = t.shape[0] - 2
+    levels = [((x >= t[j]) & (x < t[j + 1])).astype(float) for j in range(p + 1)]
+    for d in range(1, p + 1):
+        for j in range(p + 1 - d):
+            den = t[j + d] - t[j]
+            acc = np.divide(x - t[j], den, out=np.zeros_like(x), where=den > 0.0)
+            acc *= levels[j]
+            den = t[j + d + 1] - t[j + 1]
+            right = np.divide(t[j + d + 1] - x, den, out=np.zeros_like(x), where=den > 0.0)
+            right *= levels[j + 1]
+            levels[j] = acc + right
+    return levels[0]

@@ -107,20 +107,39 @@ def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
     ku, kv = space.knot_indices()
     p1, p2 = space.degrees
     u1, v1 = float(space.u[-1]), float(space.v[-1])
-    nv = len(space.v) - 1
-    u_lo, u_hi, v_lo, v_hi = space.support_boxes()[bis].T
-    # the runs of all B-splines, support column by support column
-    n_col = u_hi - u_lo
-    first = np.cumsum(n_col) - n_col
-    col = np.arange(n_col.sum()) - np.repeat(first - u_lo, n_col)
-    lo = start[col * nv + np.repeat(v_lo, n_col)]
-    hi = start[col * nv + np.repeat(v_hi, n_col)]
+    lo, hi, first, n_col = _support_runs(space, start, bis)
     n_pts = np.add.reduceat(hi - lo, first) if len(bis) else first
     lo, hi, first, last = lo.tolist(), hi.tolist(), first.tolist(), (first + n_col).tolist()
     for k in np.flatnonzero(n_pts).tolist():
         ids = np.concatenate([order[lo[j]:hi[j]] for j in range(first[k], last[k])])
         tu, tv = space.u[ku[bis[k]]], space.v[kv[bis[k]]]
         yield bis[k], ids, basis_value(tu, p1, x[ids], u1), basis_value(tv, p2, y[ids], v1)
+
+
+def _support_runs(space: LRSpace, start: np.ndarray, bis):
+    """``(lo, hi, first, n_col)``: the points of B-spline ``bis[k]`` are the
+    runs ``order[lo[j]:hi[j]]`` for ``j`` from ``first[k]`` to ``first[k] +
+    n_col[k]``, one run per column of its support box (see
+    :func:`_cell_order` for ``order`` and ``start``)."""
+    nv = len(space.v) - 1
+    u_lo, u_hi, v_lo, v_hi = space.support_boxes()[bis].T
+    n_col = u_hi - u_lo
+    first = np.cumsum(n_col) - n_col
+    col = np.arange(n_col.sum()) - np.repeat(first - u_lo, n_col)
+    lo = start[col * nv + np.repeat(v_lo, n_col)]
+    hi = start[col * nv + np.repeat(v_hi, n_col)]
+    return lo, hi, first, n_col
+
+
+def support_pairs(space: LRSpace, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(bi, ids)``: every pair of a B-spline id and a point in its support
+    box, in B-spline order, without a loop over the B-splines."""
+    _, order, start = _cell_order(space, x, y)
+    lo, hi, _, n_col = _support_runs(space, start, np.arange(len(space)))
+    length = hi - lo
+    bi = np.repeat(np.repeat(np.arange(len(n_col)), n_col), length)
+    pos = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - lo, length)
+    return bi, order[pos]
 
 
 @dataclass

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+from lrfit.basis import basis_value
 from lrfit.mesh import LRSpace, MeshSegment, U, V, make_tensor_mesh
 
 
@@ -82,6 +83,20 @@ def local_knot_values(space: LRSpace, key) -> tuple[np.ndarray, np.ndarray]:
     """Local knot vectors of a ``(ku, kv)`` index key, read from the tables."""
     ku, kv = key
     return space.u[list(ku)], space.v[list(kv)]
+
+
+def partition_residual(space, n=200, seed=0) -> float:
+    """Largest deviation from one of ``sum_i s_i B_i`` at ``n`` uniform random
+    points, each B-spline evaluated on its own local knots."""
+    rng = np.random.default_rng(seed)
+    uu = rng.uniform(space.u[0], space.u[-1], n)
+    vv = rng.uniform(space.v[0], space.v[-1], n)
+    tot = np.zeros(n)
+    for key, s in zip(space.keys_sorted(), space.scale_array()):
+        tu, tv = local_knot_values(space, key)
+        tot += (s * basis_value(tu, space.degrees[0], uu, space.u[-1])
+                * basis_value(tv, space.degrees[1], vv, space.v[-1]))
+    return np.abs(tot - 1.0).max()
 
 
 def support_values(space: LRSpace, key) -> tuple[float, float, float, float]:

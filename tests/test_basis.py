@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from lrfit.basis import basis_deriv, basis_value
+from lrfit.basis import basis_deriv, basis_value, basis_value_pairs
 
 
 def scipy_single(knots, degree, x):
@@ -130,3 +130,18 @@ class TestDerivativeRecurrence:
                 ours = basis_deriv(t, degree, x, order, closed_at)
                 ref = recursive_deriv(t, degree, x, order, closed_at)
                 assert np.array_equal(ours, ref), (t, closed_at)
+
+
+class TestValuePairs:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_equals_basis_value_pair_by_pair(self, degree):
+        """Bit for bit ``basis_value`` on each pair's own knots, over repeated
+        knots, open ends and points on, inside and outside every support."""
+        rng = np.random.default_rng(degree)
+        pool = np.array([0.0, 0.25, 1.0, 1.5, 2.75, 4.0])
+        rows = np.sort(rng.choice(pool, (300, degree + 2)), axis=1)
+        rows = rows[rows[:, 0] < rows[:, -1]]
+        x = rng.choice(np.r_[pool, rng.uniform(-0.5, 4.5, 20)], (len(rows), 8))
+        ours = np.stack([basis_value_pairs(rows.T, col) for col in x.T], axis=1)
+        for t, xs, got in zip(rows, x, ours):
+            assert np.array_equal(got, basis_value(t, degree, xs)), (t, xs)

@@ -1,9 +1,11 @@
 """Text formats: point files, surface documents, rasters, reports, synth."""
 
 import copy
+import importlib.util
 import json
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,9 @@ from lrfit.io import (REPORT_HEADER, FormatError, gen_synthetic, read_points,
                       write_surface, write_truth_sidecar)
 from lrfit.surface import LRSurface, PointCloud
 
-from conftest import random_refined_space, uniform_tensor_space
+from conftest import partition_residual, random_refined_space, uniform_tensor_space
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestReadPoints:
@@ -312,6 +316,17 @@ class TestSurfaceDocument:
         with pytest.raises(FormatError, match="indexes outside"):
             read_surface(str(path))
 
+    def test_elements_one_ulp_wide_read(self, tmp_path):
+        """Two heights at one xy refine down to one-ulp knot intervals, and
+        the partition-of-unity check of the read accepts the document."""
+        cloud = gen_synthetic("dunes", 3, 100)
+        xyz = np.r_[cloud.xyz, [[500.0, 500.0, 0.0], [500.0, 500.0, 60.0]]]
+        surf, _ledger = run(PointCloud(xyz), RunConfig(tolerance=5.0, max_iterations=60))
+        assert np.diff(surf.space.u).min() == np.spacing(500.0)
+        path = tmp_path / "s.lrb"
+        write_surface(surf, str(path))
+        assert read_surface(str(path)).space.keys_sorted() == surf.space.keys_sorted()
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "s.lrb"
         path.write_text("not a document")
@@ -473,6 +488,15 @@ class TestNotAnLRSpace:
                 f"bad.lrb: duplicate B-spline {entry!r}")):
             self.read(doc, tmp_path)
 
+    def test_wrong_scale(self, fitted_doc, tmp_path):
+        doc = copy.deepcopy(fitted_doc)
+        i = len(doc["bsplines"]) // 2
+        doc["bsplines"][i][3] *= 1.0 + 1e-9
+        with pytest.raises(FormatError, match=r"bad.lrb: the scaled B-splines sum to "
+                                              r"1\.0000000\d*, not 1, at the centre \(.*\) "
+                                              "of an element: a scale is wrong"):
+            self.read(doc, tmp_path)
+
     @pytest.mark.parametrize("direction", [0, 1])
     def test_repeated_interior_knot_index(self, fitted_doc, tmp_path, direction):
         """Only the first and last table index may repeat, as the boundary
@@ -487,6 +511,171 @@ class TestNotAnLRSpace:
                 f"bad.lrb: B-spline {doc['bsplines'][i]!r} repeats an interior "
                 "knot index")):
             self.read(doc, tmp_path)
+
+
+def indented_text(text: str) -> str:
+    """A document in the former layout: ``json.dump`` with sorted keys and
+    ``indent=1``, one JSON value per line."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+
+
+def load_evaluator():
+    """``perfbench/evaluator.py``, loaded by path (it shares no code with lrfit)."""
+    spec = importlib.util.spec_from_file_location("perfbench_evaluator",
+                                                  PERFBENCH / "evaluator.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def efb_surface():
+    """A fitted 3,000-point seed-1 dunes eFB surface (degree 2)."""
+    surf, _ledger = run(gen_synthetic("dunes", 1, 3000),
+                        RunConfig(strategy="eFB", tolerance=1.0, max_iterations=3))
+    return surf
+
+
+class TestDocumentLayout:
+    """One B-spline and one segment per line; every JSON layout reads."""
+
+    def written(self, surface, tmp_path) -> Path:
+        path = tmp_path / "s.lrb"
+        write_surface(surface, str(path))
+        return path
+
+    def test_bytes_per_bspline(self, efb_surface, tmp_path):
+        n = len(efb_surface.space)
+        assert n > 300
+        assert self.written(efb_surface, tmp_path).stat().st_size <= 64 * n
+
+    def test_one_line_per_entry(self, efb_surface, tmp_path):
+        lines = self.written(efb_surface, tmp_path).read_text().splitlines()
+        for key, count in (("bsplines", len(efb_surface.space)),
+                           ("segments", len(efb_surface.space.segments()))):
+            start = lines.index(f'"{key}":[')
+            end = lines.index("]" if key == "segments" else "],", start)
+            assert end - start - 1 == count
+            assert all(len(json.loads(line.rstrip(","))) == 4
+                       for line in lines[start + 1:end])
+
+    @pytest.mark.parametrize("name", ["dunes1_p2.lrb", "dunes1_p3.lrb"])
+    def test_write_read_write_byte_identical(self, name, tmp_path):
+        stored = PERFBENCH / "data" / name
+        provenance = json.loads(stored.read_text())["provenance"]
+        first, second = tmp_path / "a.lrb", tmp_path / "b.lrb"
+        write_surface(read_surface(str(stored)), str(first), provenance)
+        write_surface(read_surface(str(first)), str(second), provenance)
+        assert first.read_bytes() == second.read_bytes()
+        # the same JSON values as the stored document, in half its bytes
+        assert json.loads(first.read_text()) == json.loads(stored.read_text())
+        assert first.stat().st_size < 0.5 * stored.stat().st_size
+
+    def test_stored_documents_are_the_former_layout(self):
+        for name in ("dunes1_p2.lrb", "dunes1_p3.lrb"):
+            text = (PERFBENCH / "data" / name).read_text()
+            assert text == indented_text(text)
+
+    def test_former_layout_reads_the_same_store(self, efb_surface, tmp_path):
+        new = self.written(efb_surface, tmp_path)
+        old = tmp_path / "indented.lrb"
+        old.write_text(indented_text(new.read_text()))
+        a, b = read_surface(str(new)).space, read_surface(str(old)).space
+        assert a.keys_sorted() == b.keys_sorted() == efb_surface.space.keys_sorted()
+        assert a.coeff_array().tobytes() == b.coeff_array().tobytes()
+        assert a.scale_array().tobytes() == b.scale_array().tobytes()
+        assert a.coeff_array().tobytes() == efb_surface.space.coeff_array().tobytes()
+
+    def test_independent_evaluator_reads(self, efb_surface, tmp_path):
+        doc = load_evaluator().Document.load(str(self.written(efb_surface, tmp_path)))
+        rng = np.random.default_rng(2)
+        u0, u1, v0, v1 = efb_surface.domain
+        x, y = rng.uniform(u0, u1, 2000), rng.uniform(v0, v1, 2000)
+        heights, pou = doc.evaluate(x, y)
+        np.testing.assert_allclose(heights, efb_surface.evaluate(x, y), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pou, 1.0, rtol=0, atol=1e-12)
+
+
+class TestFailedWrite:
+    """A document that cannot be serialized raises before the file opens."""
+
+    def surface(self):
+        sp = random_refined_space(5, (2, 2), n_insertions=4)
+        sp.set_coeffs(np.arange(len(sp), dtype=float))
+        return LRSurface(sp)
+
+    def test_unserializable_provenance_keeps_the_document(self, tmp_path):
+        surf = self.surface()
+        path = tmp_path / "s.lrb"
+        write_surface(surf, str(path), provenance={"iterations": 5})
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            write_surface(surf, str(path), provenance={"iterations": np.int64(5)})
+        assert path.read_bytes() == before
+        assert read_surface(str(path)).space.keys_sorted() == surf.space.keys_sorted()
+
+    def test_nan_coefficient_keeps_the_document(self, tmp_path):
+        surf = self.surface()
+        path = tmp_path / "s.lrb"
+        write_surface(surf, str(path))
+        before = path.read_bytes()
+        coeffs = surf.space.coeff_array()
+        coeffs[3] = np.nan
+        surf.space.set_coeffs(coeffs)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_surface(surf, str(path))
+        assert path.read_bytes() == before
+        fresh = tmp_path / "new.lrb"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_surface(surf, str(fresh))
+        assert not fresh.exists()
+
+
+#: a JSON string (with the ``:`` that marks an object key), number or literal
+JSON_TOKEN = re.compile(r'"[^"]*"(:?)|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|true|false|null')
+
+
+def corruptions(n_max: int):
+    """Text of a JSON value to put in place of one token."""
+    return st.one_of(
+        st.sampled_from(['"x"', '"1"', "[]", "[1]", "{}", "null"]),       # wrong type
+        st.sampled_from(["true", "false"]),
+        st.integers(n_max, 2 ** 64).map(str),                             # index out of range
+        st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]),
+        st.integers(max_value=-1).map(str),
+        st.floats(max_value=-0.0, allow_nan=False, allow_infinity=False).map(repr),
+    )
+
+
+class TestCorruptedDocuments:
+    """Any one JSON value of a written document replaced: the read either
+    raises :class:`FormatError` or gives a surface with partition of unity."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        out = []
+        for seed, degrees in ((23, (2, 2)), (7, (1, 3))):
+            sp = random_refined_space(seed, degrees, n_insertions=5)
+            sp.set_coeffs(np.random.default_rng(seed).normal(size=len(sp)))
+            path = tmp_path_factory.mktemp("corrupt") / "s.lrb"
+            write_surface(LRSurface(sp), str(path), provenance={"strategy": "eFB",
+                                                                "iterations": 2})
+            text = path.read_text()
+            tokens = [m.span() for m in JSON_TOKEN.finditer(text) if not m.group(1)]
+            out.append((path, text, tokens, max(len(sp.u), len(sp.v))))
+        return out
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rejected_or_a_partition_of_unity(self, documents, data):
+        path, text, tokens, n_max = data.draw(st.sampled_from(documents))
+        start, end = data.draw(st.sampled_from(tokens))
+        path.write_text(text[:start] + data.draw(corruptions(n_max)) + text[end:])
+        try:
+            surface = read_surface(str(path))
+        except FormatError:
+            return
+        assert partition_residual(surface.space, n=100) < 1e-12
 
 
 class TestRaster:

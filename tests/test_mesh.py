@@ -13,19 +13,8 @@ from lrfit.mesh import (SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, Segm
                         U, V, make_tensor_mesh, split_knots)
 
 from conftest import (ALL_DEGREES, element_boxes_oracle, local_knot_values,
-                      random_refined_space, support_values, uniform_tensor_space)
-
-
-def partition_residual(space, n=200, seed=0):
-    rng = np.random.default_rng(seed)
-    uu = rng.uniform(space.u[0], space.u[-1], n)
-    vv = rng.uniform(space.v[0], space.v[-1], n)
-    tot = np.zeros(n)
-    for key, s in zip(space.keys_sorted(), space.scale_array()):
-        tu, tv = local_knot_values(space, key)
-        tot += (s * basis_value(tu, space.degrees[0], uu, space.u[-1])
-                * basis_value(tv, space.degrees[1], vv, space.v[-1]))
-    return np.abs(tot - 1.0).max()
+                      partition_residual, random_refined_space, support_values,
+                      uniform_tensor_space)
 
 
 def reference_mesh():
