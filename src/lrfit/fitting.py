@@ -21,7 +21,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .basis import basis_deriv, basis_value
 from .mesh import LRSpace
-from .surface import (Assignment, Collocation, LRSurface, PointCloud, _column_matrix,
+from .surface import (PAIR_BLOCK, Assignment, Collocation, LRSurface, PointCloud,
                       assign_points)
 
 
@@ -96,18 +96,33 @@ def smoothing_matrix(space: LRSpace) -> sparse.csr_matrix:
     vq = np.broadcast_to(gv[:, None, :], shape).ravel()
     wq = ((half_u[:, None] * wu)[:, :, None] * (half_v[:, None] * wv)[:, None, :]).ravel()
     nq, n_pts = (p1 + 1) * (p2 + 1), len(wq)
+    # one (B-spline, element) pair per element of each support, B-spline major
     _, b2e = space.overlap_maps()
-    cols = []
+    n_el = np.array([len(e) for e in b2e], dtype=np.int64)
+    elem, owner = np.concatenate(b2e), np.repeat(np.arange(len(b2e)), n_el)
+    # column i holds the D_uu, D_uv, D_vv rows of its n_col[i] Gauss points
+    n_col = nq * n_el
+    first = np.cumsum(n_col) - n_col
+    indptr = np.r_[0, 3 * np.cumsum(n_col)]
+    indices = np.empty(indptr[-1], dtype=np.int32 if 3 * n_pts <= np.iinfo(np.int32).max
+                       else np.int64)
+    data = np.empty(indptr[-1])
     ku, kv = space.knot_indices()
-    for bi, (tu, tv) in enumerate(zip(space.u[ku], space.v[kv])):
-        ids = (b2e[bi][:, None] * nq + np.arange(nq)).ravel()
-        u, v = uq[ids], vq[ids]
+    scale = space.scale_array()
+    step = max(PAIR_BLOCK // nq, 1)
+    for s in range(0, len(elem), step):
+        # the (B-spline, Gauss point) pairs of a block of element pairs
+        ids = (elem[s:s + step, None] * nq + np.arange(nq)).ravel()
+        b = np.repeat(owner[s:s + step], nq)
+        u, v, tu, tv = uq[ids], vq[ids], space.u[ku[b].T], space.v[kv[b].T]
         bu = [basis_value(tu, p1, u), basis_deriv(tu, p1, u, 1), basis_deriv(tu, p1, u, 2)]
         bv = [basis_value(tv, p2, v), basis_deriv(tv, p2, v, 1), basis_deriv(tv, p2, v, 2)]
-        # rows of D_uu, D_uv and D_vv stacked in one column
-        cols.append((np.concatenate([ids, ids + n_pts, ids + 2 * n_pts]),
-                     np.concatenate([bu[2] * bv[0], bu[1] * bv[1], bu[0] * bv[2]])))
-    d = _column_matrix(cols, space.scale_array(), 3 * n_pts)
+        at = 2 * first[b] + np.arange(s * nq, s * nq + len(ids))
+        for r, (du, dv) in enumerate([(2, 0), (1, 1), (0, 2)]):
+            pos = at + r * n_col[b]
+            indices[pos] = ids + r * n_pts
+            data[pos] = bu[du] * bv[dv] * scale[b]
+    d = sparse.csc_matrix((data, indices, indptr), shape=(3 * n_pts, len(b2e)))
     w = sparse.diags(np.concatenate([wq, w_twist * wq, wq]))
     m = (d.T @ (w @ d)).tocsr()
     # exact symmetry despite summation order

@@ -14,10 +14,10 @@ import warnings
 
 import numpy as np
 
-from .basis import basis_value_pairs
+from .basis import basis_value
 from .driver import RunLedger
 from .mesh import SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, U, V
-from .surface import LRSurface, PointCloud, support_pairs
+from .surface import PAIR_BLOCK, LRSurface, PointCloud, support_pairs
 
 SCHEMA_VERSION = 1
 
@@ -259,11 +259,6 @@ def _check_lr_space(space: LRSpace, path: str) -> None:
     _check_partition_of_unity(space, path)
 
 
-#: (B-spline, element) pairs per block of the partition-of-unity check: at
-#: about 120 B per pair, a block's arrays stay near 2 MB whatever the space
-PAIR_BLOCK = 16_384
-
-
 def _check_partition_of_unity(space: LRSpace, path: str) -> None:
     """Reject a document whose scaled B-splines do not sum to one within
     1e-12 at every element centre.  A scale that is off by ``e`` moves the sum
@@ -275,12 +270,13 @@ def _check_partition_of_unity(space: LRSpace, path: str) -> None:
               for a, b in (bounds[:, :2].T, bounds[:, 2:].T)]
     bi, eid = support_pairs(space, *centre)
     ku, kv = space.knot_indices()
+    p1, p2 = space.degrees
     scale = space.scale_array()
     total = np.zeros(len(bounds))
     for start in range(0, len(bi), PAIR_BLOCK):
         b, e = bi[start:start + PAIR_BLOCK], eid[start:start + PAIR_BLOCK]
-        terms = (basis_value_pairs(space.u[ku[b].T], centre[0][e])
-                 * basis_value_pairs(space.v[kv[b].T], centre[1][e]) * scale[b])
+        terms = (basis_value(space.u[ku[b].T], p1, centre[0][e])
+                 * basis_value(space.v[kv[b].T], p2, centre[1][e]) * scale[b])
         total += np.bincount(e, terms, minlength=len(bounds))
     bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-12))   # NaN fails too
     if len(bad):

@@ -365,12 +365,6 @@ class LRSpace:
     # ------------------------------------------------------------------
     # refinement
 
-    def insert_segment(self, seg: MeshSegment) -> None:
-        """Insert one meshline segment, splitting every B-spline it traverses
-        and restoring minimal support.  Raises :class:`SegmentError` if the
-        (coalesced) segment does not split any B-spline."""
-        self._insert_one(seg)
-
     def try_apply_segments(self, segs: Iterable[MeshSegment]) -> tuple[int, int]:
         """Insert segments one at a time as :meth:`insert_segment` does, but
         drop those that split nothing instead of raising.
@@ -380,7 +374,7 @@ class LRSpace:
         inserted = dropped = 0
         for seg in segs:
             try:
-                self._insert_one(seg)
+                self.insert_segment(seg)
                 inserted += 1
             except SegmentError:
                 dropped += 1
@@ -396,7 +390,10 @@ class LRSpace:
                               & (run[:, 0] >= lo) & (run[:, -1] <= hi) & self._alive[:n])
         return self._keys(rows[(loc[rows] != fixed).all(axis=1)])
 
-    def _insert_one(self, seg: MeshSegment) -> None:
+    def insert_segment(self, seg: MeshSegment) -> None:
+        """Insert one meshline segment, splitting every B-spline it traverses
+        and restoring minimal support.  Raises :class:`SegmentError` if the
+        (coalesced) segment does not split any B-spline."""
         axis, fixed, lo, hi = seg.axis, seg.fixed, seg.lo, seg.hi
         table = self.table(axis)
         run = self.table(_other(axis))

@@ -131,6 +131,11 @@ def _support_runs(space: LRSpace, start: np.ndarray, bis):
     return lo, hi, first, n_col
 
 
+#: (B-spline, point) pairs per block of a pass over the pairs of a whole
+#: space: at about 120 B per pair, a block's arrays stay near 2 MB
+PAIR_BLOCK = 16_384
+
+
 def support_pairs(space: LRSpace, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(bi, ids)``: every pair of a B-spline id and a point in its support
     box, in B-spline order, without a loop over the B-splines."""

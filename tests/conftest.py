@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from lrfit.basis import basis_value
@@ -164,6 +165,20 @@ def element_boxes_oracle(space: LRSpace) -> set:
             "non-rectangular cell group"
         boxes.add(box)
     return boxes
+
+
+@st.composite
+def non_finite_cells(draw, xyz: np.ndarray):
+    """A copy of the ``(K, 3)`` array ``xyz`` with NaN or +-inf at 1 to 6
+    random (point, column) positions, and the first of them in row-major
+    order as ``(row, column, value)``."""
+    cells = draw(st.lists(st.tuples(st.integers(0, len(xyz) - 1), st.integers(0, 2)),
+                          min_size=1, max_size=6, unique=True))
+    bad = xyz.copy()
+    for cell in cells:
+        bad[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    row, col = min(cells)
+    return bad, (row, col, float(bad[row, col]))
 
 
 ALL_DEGREES = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)]

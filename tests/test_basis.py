@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from lrfit.basis import basis_deriv, basis_value, basis_value_pairs
+from lrfit.basis import basis_deriv, basis_value
 
 
 def scipy_single(knots, degree, x):
@@ -133,15 +133,35 @@ class TestDerivativeRecurrence:
 
 
 class TestValuePairs:
+    """Knot vectors as the columns of a ``(degree + 2, M)`` array: column ``k``
+    evaluated at ``x[k]`` gives the bytes of a call on that vector alone."""
+
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_equals_basis_value_pair_by_pair(self, degree):
-        """Bit for bit ``basis_value`` on each pair's own knots, over repeated
-        knots, open ends and points on, inside and outside every support."""
+        """At orders 0 to 2, over repeated knots, open ends and points on,
+        inside and outside every support, half-open and closed at the domain
+        maximum."""
         rng = np.random.default_rng(degree)
         pool = np.array([0.0, 0.25, 1.0, 1.5, 2.75, 4.0])
         rows = np.sort(rng.choice(pool, (300, degree + 2)), axis=1)
+        rows = np.r_[rows, [np.r_[np.zeros(degree + 1), 1.0],          # open left end
+                            np.r_[2.75, np.full(degree + 1, 4.0)],     # open right end
+                            np.r_[0.0, np.full(degree, 1.0), 2.0]]]    # interior repeat
         rows = rows[rows[:, 0] < rows[:, -1]]
         x = rng.choice(np.r_[pool, rng.uniform(-0.5, 4.5, 20)], (len(rows), 8))
-        ours = np.stack([basis_value_pairs(rows.T, col) for col in x.T], axis=1)
-        for t, xs, got in zip(rows, x, ours):
-            assert np.array_equal(got, basis_value(t, degree, xs)), (t, xs)
+        for order in (0, 1, 2):
+            for closed_at in (None, pool[-1]):
+                ours = np.stack([basis_deriv(rows.T, degree, col, order, closed_at)
+                                 for col in x.T], axis=1)
+                ref = np.stack([basis_deriv(t, degree, xs, order, closed_at)
+                                for t, xs in zip(rows, x)])
+                assert ours.tobytes() == ref.tobytes(), (order, closed_at)
+
+    def test_points_broadcast_against_columns(self):
+        """A ``(K, M)`` point array evaluates every column at its K points."""
+        rows = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 2.5, 4.0]]).T
+        x = np.linspace(-0.5, 4.0, 19)[:, None] + np.zeros(2)
+        ours = basis_value(rows, 2, x, 4.0)
+        assert ours.shape == (19, 2)
+        for k in range(2):
+            assert ours[:, k].tobytes() == basis_value(rows[:, k], 2, x[:, k], 4.0).tobytes()

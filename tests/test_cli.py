@@ -1,12 +1,18 @@
 """End-to-end command-line behavior and exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrfit.cli import cli_main, parse_stage
 from lrfit.io import REPORT_HEADER, read_surface
+
+from conftest import non_finite_cells
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +76,20 @@ class TestFailureExits:
         write_points(PointCloud(xyz), path)
         assert cli_main(["fit", "--points", path, "--tolerance", "0.5"]) == 4
         assert "point 1234 (0-based), column z" in capsys.readouterr().err
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_non_finite_coordinates_exit(self, data, tmp_path_factory):
+        from lrfit.io import gen_synthetic, write_points
+        from lrfit.surface import PointCloud
+
+        xyz, (row, col, value) = data.draw(non_finite_cells(gen_synthetic("dunes", 1, 100).xyz))
+        path = str(tmp_path_factory.mktemp("nonfinite") / "bad.xyz")
+        write_points(PointCloud(xyz), path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli_main(["fit", "--points", path, "--tolerance", "0.5"]) == 4
+        assert f"point {row} (0-based), column {'xyz'[col]}: {value!r}" in err.getvalue()
 
     def test_non_finite_tolerance_fit_exit(self, cloud_file, tmp_path, capsys):
         out = tmp_path / "s.lrb"

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrfit.driver import (EXIT_CONVERGED, EXIT_ITERATION_CAP, EXIT_STAGNATION,
                           InputError, LedgerRow, RunConfig, RunLedger,
@@ -11,6 +13,8 @@ from lrfit.driver import (EXIT_CONVERGED, EXIT_ITERATION_CAP, EXIT_STAGNATION,
                           oscillation_grade, run)
 from lrfit.fitting import FitConfig
 from lrfit.surface import LRSurface, PointCloud
+
+from conftest import non_finite_cells
 
 
 def plane_cloud(n=5000, seed=3):
@@ -107,6 +111,14 @@ class TestNonFiniteInput:
         xyz[40, 2] = np.nan
         xyz[90, 0] = np.nan
         with pytest.raises(InputError, match=r"point 40 \(0-based\), column y: -inf"):
+            run(PointCloud(xyz), RunConfig(tolerance=0.5))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_positions_name_the_first(self, data):
+        xyz, (row, col, value) = data.draw(non_finite_cells(plane_cloud(n=60).xyz))
+        message = f"point {row} (0-based), column {'xyz'[col]}: {value!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
             run(PointCloud(xyz), RunConfig(tolerance=0.5))
 
 

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from scipy.interpolate import BSpline
 from lrfit.basis import basis_deriv, basis_value
 from lrfit.fitting import (FitConfig, SingularSystemError, fit_step, lsq_fit,
                            mba_update, smoothing_matrix)
+from lrfit.io import read_surface
 from lrfit.mesh import make_tensor_mesh
-from lrfit.surface import (Collocation, LRSurface, PointCloud, assign_points,
+from lrfit.surface import (Collocation, LRSurface, PointCloud, _column_matrix, assign_points,
                            compute_accuracy)
 
 from conftest import random_refined_space, uniform_tensor_space
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def sample_in_space(space, n, seed):
@@ -196,6 +200,57 @@ def per_element_smoothing(space):
     return (m + m.T) * 0.5
 
 
+def per_bspline_smoothing(space):
+    """The thin-plate matrix with ``D`` assembled one B-spline column at a
+    time: six single-vector kernel calls over the Gauss points of the
+    elements in its support, its ``D_uu``, ``D_uv`` and ``D_vv`` rows stacked
+    in that order.  The pair-block assembly must reproduce its bytes."""
+    p1, p2 = space.degrees
+    w_twist = 2.0 if min(p1, p2) >= 2 else 0.0
+    u0, u1, v0, v1 = space.element_bounds().T
+    xu, wu = np.polynomial.legendre.leggauss(p1 + 1)
+    xv, wv = np.polynomial.legendre.leggauss(p2 + 1)
+    half_u, half_v = 0.5 * (u1 - u0), 0.5 * (v1 - v0)
+    gu = 0.5 * (u0 + u1)[:, None] + half_u[:, None] * xu
+    gv = 0.5 * (v0 + v1)[:, None] + half_v[:, None] * xv
+    shape = (len(u0), p1 + 1, p2 + 1)
+    uq = np.broadcast_to(gu[:, :, None], shape).ravel()
+    vq = np.broadcast_to(gv[:, None, :], shape).ravel()
+    wq = ((half_u[:, None] * wu)[:, :, None] * (half_v[:, None] * wv)[:, None, :]).ravel()
+    nq, n_pts = (p1 + 1) * (p2 + 1), len(wq)
+    _, b2e = space.overlap_maps()
+    cols = []
+    ku, kv = space.knot_indices()
+    for bi, (tu, tv) in enumerate(zip(space.u[ku], space.v[kv])):
+        ids = (b2e[bi][:, None] * nq + np.arange(nq)).ravel()
+        u, v = uq[ids], vq[ids]
+        bu = [basis_value(tu, p1, u), basis_deriv(tu, p1, u, 1), basis_deriv(tu, p1, u, 2)]
+        bv = [basis_value(tv, p2, v), basis_deriv(tv, p2, v, 1), basis_deriv(tv, p2, v, 2)]
+        cols.append((np.concatenate([ids, ids + n_pts, ids + 2 * n_pts]),
+                     np.concatenate([bu[2] * bv[0], bu[1] * bv[1], bu[0] * bv[2]])))
+    d = _column_matrix(cols, space.scale_array(), 3 * n_pts)
+    w = sparse.diags(np.concatenate([wq, w_twist * wq, wq]))
+    m = (d.T @ (w @ d)).tocsr()
+    return (m + m.T) * 0.5
+
+
+def assert_same_bytes(m, ref):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(m, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestSmoothingPairBlocks:
+    def test_corpus_bytes_equal_per_bspline_loop(self, corpus50):
+        meshes, _ = corpus50
+        for space in meshes:
+            assert_same_bytes(smoothing_matrix(space), per_bspline_smoothing(space))
+
+    def test_stored_document_bytes_equal_per_bspline_loop(self):
+        space = read_surface(DATA / "dunes1_p2.lrb").space
+        assert_same_bytes(smoothing_matrix(space), per_bspline_smoothing(space))
+
+
 class TestSmoothingOracles:
     @pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (3, 3), (2, 3)])
     def test_tensor_mesh_against_scipy_gram_matrices(self, degrees):
@@ -355,6 +410,17 @@ class TestMemoryPerNonzero:
         space, _, _, colloc, _, nnz = self.cached()
         peak = self.peak_above(lambda: colloc.matrix(space))
         assert peak <= 25 * nnz
+
+    def test_smoothing_matrix_peak(self, traced):
+        """Per nonzero of ``D`` on the stored degree-2 document's space: the
+        pairs go through the kernel in blocks, so the peak is the sparse
+        products', no higher than the per-B-spline assembly's 59.8 B."""
+        space = read_surface(DATA / "dunes1_p2.lrb").space
+        p1, p2 = space.degrees
+        peak = self.peak_above(lambda: smoothing_matrix(space))
+        _, b2e = space.overlap_maps()
+        d_nnz = 3 * (p1 + 1) * (p2 + 1) * sum(len(e) for e in b2e)
+        assert peak <= 60 * d_nnz
 
 
 class TestFitStep:
