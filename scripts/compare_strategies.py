@@ -15,15 +15,14 @@ import argparse
 import time
 
 from lrfit.driver import RunConfig, run
-from lrfit.io import gen_synthetic
+from lrfit.io import KINDS, gen_synthetic
 
 DEFAULT_LABELS = ["eFB", "eFA", "eFA tn", "eMcB", "bSB", "bRA tk", "bR+eLB tk"]
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kind", default="dunes",
-                    choices=["dunes", "peaks", "scanlines", "steps"])
+    ap.add_argument("--kind", default="dunes", choices=KINDS)
     ap.add_argument("--n", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--tolerance-frac", type=float, default=0.01,
@@ -48,11 +47,9 @@ def main() -> None:
         _, ledger = run(cloud, cfg)
         dt = time.perf_counter() - t0
         last = ledger.rows[-1]
-        stop = ("converged" if ledger.converged
-                else "stagnated" if ledger.stopped_no_segments else "iter-cap")
         print(f"{label:12s} {last.iteration:5d} {last.n_coeff:8d} "
               f"{last.n_out:7d} {last.max_dist:8.3f} {last.avg_dist:8.4f} "
-              f"{last.efficiency:8.1f} {dt:6.1f}s  {stop}")
+              f"{last.efficiency:8.1f} {dt:6.1f}s  {ledger.stop_reason}")
 
 
 if __name__ == "__main__":

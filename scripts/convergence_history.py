@@ -11,15 +11,15 @@ Usage:
 
 import argparse
 
-from lrfit.driver import RunConfig, StagePredicate, oscillation_grade, run
-from lrfit.io import gen_synthetic
+from lrfit.driver import (RunConfig, StagePredicate, detect_intermediate,
+                          oscillation_grade, run)
+from lrfit.io import KINDS, gen_synthetic
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--strategy", default="eFB")
-    ap.add_argument("--kind", default="dunes",
-                    choices=["dunes", "peaks", "scanlines", "steps"])
+    ap.add_argument("--kind", default="dunes", choices=KINDS)
     ap.add_argument("--n", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--tolerance-frac", type=float, default=0.01)
@@ -30,9 +30,8 @@ def main() -> None:
 
     cloud = gen_synthetic(args.kind, args.seed, args.n)
     tol = args.tolerance_frac * float(cloud.z.max() - cloud.z.min())
-    cfg = RunConfig(
-        strategy=args.strategy, tolerance=tol, max_iterations=args.max_iter,
-        intermediate=StagePredicate(max_out_fraction=args.intermediate_out_frac))
+    stage = StagePredicate(max_out_fraction=args.intermediate_out_frac)
+    cfg = RunConfig(strategy=args.strategy, tolerance=tol, max_iterations=args.max_iter)
     _, ledger = run(cloud, cfg)
     print(f"strategy={args.strategy} tolerance={tol:.4f}")
     print(f"{'iter':>4s} {'n_out':>7s} {'n_coeff':>8s} {'max':>8s} "
@@ -41,12 +40,11 @@ def main() -> None:
         print(f"{r.iteration:4d} {r.n_out:7d} {r.n_coeff:8d} {r.max_dist:8.3f} "
               f"{r.avg_dist:8.4f} {r.avg_out_dist:8.4f} "
               f"{r.segments_inserted:5d} {r.wall_time * 1e3:7.1f}")
-    stop = ("converged" if ledger.converged
-            else "stagnated" if ledger.stopped_no_segments else "iteration cap")
-    print(f"stop: {stop}; oscillation: {oscillation_grade(ledger)}")
-    if ledger.intermediate_iter is not None:
-        print(f"intermediate stage at iteration {ledger.intermediate_iter}, "
-              f"tail {ledger.tail_length} iterations")
+    print(f"stop: {ledger.stop_reason}; oscillation: {oscillation_grade(ledger)}")
+    reached = detect_intermediate(ledger, stage)
+    if reached is not None:
+        print(f"intermediate stage at iteration {reached}, "
+              f"tail {ledger.rows[-1].iteration - reached} iterations")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ unfitted start surface and no rows when the initial fit fails).
 ``--min-interval`` non-negative (``0``, the default, sets no limit); NaN is
 rejected for both with exit code 4.  ``synth --noise`` must be finite and
 non-negative, and ``--outlier-fraction`` in [0, 1]; other values exit with 4.
-So does an ``--intermediate`` cap that is NaN, infinite or negative.
+So does an ``--intermediate`` cap that is NaN, infinite or negative.  ``fit``
+builds its run settings (label, tolerance, ``--initial-grid`` included) and
+parses ``--intermediate`` before it reads the point file, so a bad one exits
+at once; the intermediate stage is read off the ledger after the run.
 
 Point files (``--points``) hold one ``x y z`` triple per line, separated by
 whitespace or commas; ``#`` starts a comment, blank lines are skipped.  A line
@@ -29,14 +32,12 @@ import sys
 import numpy as np
 
 from .driver import (EXIT_INPUT_ERROR, EXIT_RUN_ABORTED, InputError, RunAborted,
-                     RunConfig, StagePredicate, check_finite, check_tolerance, run)
-from .fitting import FitError
-from .io import (FormatError, check_noise, check_outlier_fraction, gen_synthetic,
+                     RunConfig, StagePredicate, check_finite, check_tolerance,
+                     detect_intermediate, run)
+from .io import (KINDS, check_noise, check_outlier_fraction, gen_synthetic,
                  read_points, read_surface, sample_raster, write_points,
                  write_report, write_surface, write_truth_sidecar)
-from .mesh import MeshError
 from .strategy import LabelError
-from .surface import DomainError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,13 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = ""):
-        self.code = code
-        self.message = message
+        raise InputError(f"{self.prog}: {message}")
 
 
 #: stage clause quantity -> the StagePredicate cap it sets
@@ -61,16 +56,14 @@ def parse_stage(text: str) -> StagePredicate:
     """Parse a milestone like ``"out<=0.1%,max<=2"`` (AND) or the same with
     ``|`` between clauses (OR); clauses: out<=PCT%, max<=M, avgout<=M."""
     if "|" in text and "," in text:
-        raise SystemExit_(EXIT_INPUT_ERROR,
-                          "intermediate stage: mix of ',' and '|' combinators")
+        raise InputError("intermediate stage: mix of ',' and '|' combinators")
     combinator = "OR" if "|" in text else "AND"
     clauses = text.replace("|", ",").split(",")
     stage = StagePredicate(combinator=combinator)
     for clause in clauses:
         clause = clause.strip()
         if "<=" not in clause:
-            raise SystemExit_(EXIT_INPUT_ERROR,
-                              f"intermediate stage clause {clause!r} needs '<='")
+            raise InputError(f"intermediate stage clause {clause!r} needs '<='")
         name, _, val = clause.partition("<=")
         name = name.strip()
         val = val.strip()
@@ -81,13 +74,11 @@ def parse_stage(text: str) -> StagePredicate:
                 raise ValueError("out cap is a percentage, e.g. out<=0.1%")
             cap = float(val[:-1] if name == "out" else val)
         except ValueError as exc:
-            raise SystemExit_(EXIT_INPUT_ERROR,
-                              f"intermediate stage: {exc}") from exc
+            raise InputError(f"intermediate stage: {exc}") from exc
         # a NaN cap is never reached, and no count or distance is negative
         if not (math.isfinite(cap) and cap >= 0.0):
-            raise SystemExit_(EXIT_INPUT_ERROR,
-                              f"intermediate stage clause {clause!r}: the cap must be "
-                              f"finite and non-negative, got {cap!r}")
+            raise InputError(f"intermediate stage clause {clause!r}: the cap must be "
+                             f"finite and non-negative, got {cap!r}")
         setattr(stage, _STAGE_CAPS[name], cap / 100.0 if name == "out" else cap)
     return stage
 
@@ -97,8 +88,7 @@ def parse_grid(text: str) -> tuple[int, int]:
         nu, _, nv = text.partition("x")
         return int(nu), int(nv)
     except ValueError as exc:
-        raise SystemExit_(EXIT_INPUT_ERROR,
-                          f"--initial-grid wants NxM, got {text!r}") from exc
+        raise InputError(f"--initial-grid wants NxM, got {text!r}") from exc
 
 
 def build_parser() -> _Parser:
@@ -121,14 +111,13 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--min-interval", type=float, default=0.0,
                        help="smallest knot interval the refinement may create, "
                             "non-negative (0: no limit)")
-    p_fit.add_argument("--initial-grid", type=parse_grid, metavar="NxM",
+    p_fit.add_argument("--initial-grid", metavar="NxM",
                        help="elements per direction of the starting mesh")
     p_fit.add_argument("--intermediate", metavar="STAGE",
                        help='accuracy milestone, e.g. "out<=0.1%%,max<=2"')
 
     p_synth = sub.add_parser("synth", help="generate a synthetic cloud")
-    p_synth.add_argument("--kind", required=True,
-                         choices=["dunes", "peaks", "scanlines", "steps"])
+    p_synth.add_argument("--kind", required=True, choices=KINDS)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--n", type=int, default=100_000)
     p_synth.add_argument("--noise", type=float, default=0.0,
@@ -162,16 +151,16 @@ def build_parser() -> _Parser:
 
 
 def _cmd_fit(args) -> int:
-    cloud = read_points(args.points)
     cfg = RunConfig(
         strategy=args.strategy,
         tolerance=args.tolerance,
         degrees=(args.degree, args.degree),
         max_iterations=args.max_iter,
-        initial_elements=args.initial_grid,
+        initial_elements=parse_grid(args.initial_grid) if args.initial_grid else None,
         min_interval=args.min_interval,
-        intermediate=parse_stage(args.intermediate) if args.intermediate else None,
     )
+    stage = parse_stage(args.intermediate) if args.intermediate else None
+    cloud = read_points(args.points)
     try:
         surface, ledger = run(cloud, cfg)
     except RunAborted as exc:
@@ -184,9 +173,10 @@ def _cmd_fit(args) -> int:
     print(f"iterations={last.iteration} n_out={last.n_out} "
           f"n_coeff={last.n_coeff} max={last.max_dist:.6g} "
           f"avg={last.avg_dist:.6g} converged={ledger.converged}")
-    if ledger.intermediate_iter is not None:
-        print(f"intermediate stage reached at iteration "
-              f"{ledger.intermediate_iter} (tail {ledger.tail_length})")
+    reached = detect_intermediate(ledger, stage) if stage else None
+    if reached is not None:
+        print(f"intermediate stage reached at iteration {reached} "
+              f"(tail {last.iteration - reached})")
     _write_fit_outputs(args, surface, ledger)
     return ledger.exit_code()
 
@@ -280,15 +270,10 @@ def cli_main(argv=None) -> int:
         handlers = {"fit": _cmd_fit, "synth": _cmd_synth, "raster": _cmd_raster,
                     "report": _cmd_report, "roundtrip-check": _cmd_roundtrip}
         return handlers[args.command](args)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
     except LabelError as exc:
         print(f"bad strategy label: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InputError, FormatError, MeshError, DomainError, FitError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # InputError and the other lrfit errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .fitting import FitConfig, FitError, fit_step
 from .mesh import SUPPORTED_DEGREES, LRSpace, make_tensor_mesh
-from .strategy import (build_plan, directions_for, parse_label, plan_to_segments,
-                       should_switch)
+from .strategy import (StrategySpec, build_plan, directions_for, parse_label,
+                       plan_to_segments, should_switch)
 from .surface import (AccuracyLedger, Collocation, LRSurface, PointCloud,
                       approximation_efficiency, assign_points, compute_accuracy)
 
@@ -29,6 +29,9 @@ EXIT_ITERATION_CAP = 2
 EXIT_STAGNATION = 3
 EXIT_INPUT_ERROR = 4
 EXIT_RUN_ABORTED = 5
+#: ``RunLedger.stop_reason`` -> exit code
+STOP_EXIT_CODES = {"converged": EXIT_CONVERGED, "iteration cap": EXIT_ITERATION_CAP,
+                   "stagnated": EXIT_STAGNATION}
 
 
 class InputError(ValueError):
@@ -106,25 +109,31 @@ class LedgerRow:
 
 @dataclass
 class RunLedger:
-    """Full history of an adaptive run plus termination flags."""
+    """Full history of an adaptive run and why it stopped: ``stop_reason`` is
+    a key of :data:`STOP_EXIT_CODES`, or ``None`` while the loop runs (so
+    also in the ledger a :class:`RunAborted` carries)."""
 
     rows: list[LedgerRow] = field(default_factory=list)
-    converged: bool = False
-    stopped_no_segments: bool = False
-    intermediate_iter: int | None = None
-    tail_length: int | None = None
+    stop_reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def exit_code(self) -> int:
-        if self.converged:
-            return EXIT_CONVERGED
-        if self.stopped_no_segments:
-            return EXIT_STAGNATION
-        return EXIT_ITERATION_CAP
+        return STOP_EXIT_CODES[self.stop_reason]
 
 
-@dataclass
+def _is_int_pair(value) -> bool:
+    return (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                    for n in value))
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Settings of one adaptive run."""
+    """Settings of one adaptive run, checked when it is built; ``spec`` is
+    the parsed strategy label."""
 
     strategy: str = "eFB"
     tolerance: float = 1.0
@@ -133,28 +142,32 @@ class RunConfig:
     initial_elements: tuple[int, int] | None = None
     min_interval: float = 0.0
     fit: FitConfig = field(default_factory=FitConfig)
-    intermediate: StagePredicate | None = None
+    spec: StrategySpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "spec", parse_label(self.strategy))
         check_tolerance(self.tolerance)
         if not self.min_interval >= 0.0:   # also NaN
             raise InputError(f"min_interval must be non-negative, got {self.min_interval!r}")
         if self.max_iterations < 0:
             raise InputError("max_iterations must be non-negative")
+        if not _is_int_pair(self.degrees):
+            raise InputError(f"degrees must be a pair of ints, got {self.degrees!r}")
         for p in self.degrees:
             if p not in SUPPORTED_DEGREES:
                 raise InputError(f"degree {p} not supported "
                                  f"(expected one of {SUPPORTED_DEGREES})")
+        if self.initial_elements is not None and not (
+                _is_int_pair(self.initial_elements) and min(self.initial_elements) >= 1):
+            raise InputError("initial grid needs a pair of ints, at least one element "
+                             f"per side, got {self.initial_elements!r}")
 
 
 def initial_elements_for(cloud: PointCloud, cfg: RunConfig) -> tuple[int, int]:
     """Numbers of elements per side of the starting tensor mesh: configured, or an
     aspect-ratio-adjusted grid of roughly 8 elements along the longer side."""
     if cfg.initial_elements is not None:
-        nu, nv = cfg.initial_elements
-        if nu < 1 or nv < 1:
-            raise InputError("initial grid needs at least one element per side")
-        return nu, nv
+        return cfg.initial_elements
     wx = float(cloud.x.max() - cloud.x.min())
     wy = float(cloud.y.max() - cloud.y.min())
     base = 8
@@ -199,7 +212,7 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
     """
     check_finite(cloud)
     ledger = RunLedger()
-    spec = parse_label(cfg.strategy)
+    spec = cfg.spec
     colloc = Collocation(cloud)
     t0 = time.perf_counter()
     space = initial_space(cloud, cfg)
@@ -229,12 +242,13 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
                 history.clear()
                 empty_streak = 0
         if g.n_out == 0:
-            ledger.converged = True
+            ledger.stop_reason = "converged"
             break
         if iteration >= cfg.max_iterations:
+            ledger.stop_reason = "iteration cap"
             break
         if empty_streak >= 2:
-            ledger.stopped_no_segments = True
+            ledger.stop_reason = "stagnated"
             break
         iteration += 1
         t0 = time.perf_counter()
@@ -243,8 +257,6 @@ def run(cloud: PointCloud, cfg: RunConfig) -> tuple[LRSurface, RunLedger]:
         plan = build_plan(spec, space, acc, dirs, level, cfg.min_interval)
         inserted, _dropped = space.try_apply_segments(plan_to_segments(space, plan))
         empty_streak = empty_streak + 1 if inserted == 0 else 0
-
-    _finalize(ledger, cfg)
     return surface, ledger
 
 
@@ -265,13 +277,6 @@ def _log_row(ledger: RunLedger, iteration: int, acc: AccuracyLedger,
         strategy_active=label,
         n_points=g.n_points,
     ))
-
-
-def _finalize(ledger: RunLedger, cfg: RunConfig) -> None:
-    if cfg.intermediate is not None:
-        ledger.intermediate_iter = detect_intermediate(ledger, cfg.intermediate)
-        if ledger.intermediate_iter is not None:
-            ledger.tail_length = ledger.rows[-1].iteration - ledger.intermediate_iter
 
 
 def detect_intermediate(ledger: RunLedger, stage: StagePredicate) -> int | None:

@@ -69,7 +69,8 @@ class LRSurface:
         uu, vv = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         shape = uu.shape
         uu, vv = uu.ravel(), vv.ravel()
-        if (uu < u0).any() or (uu > u1).any() or (vv < v0).any() or (vv > v1).any():
+        # "inside the closed box", so that a NaN coordinate fails it too
+        if not ((u0 <= uu) & (uu <= u1) & (v0 <= vv) & (vv <= v1)).all():
             raise DomainError("query point outside the surface domain")
         _, order, start = _cell_order(sp, uu, vv)
         s, c = sp.scale_array(), sp.coeff_array()

@@ -253,7 +253,7 @@ def test_criterion_10_switch_mechanism():
                                     max_iterations=40, initial_elements=(8, 8)))
 
     _s, plain = run_with("bRB tk")
-    assert plain.stopped_no_segments, "plain restricted run did not stagnate"
+    assert plain.stop_reason == "stagnated", "plain restricted run did not stagnate"
     assert plain.exit_code() == EXIT_STAGNATION
 
     _s, switched = run_with("bR/eFB tk/n")

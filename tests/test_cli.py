@@ -53,6 +53,23 @@ class TestFit:
                          "--tolerance", "0.5"])
         assert code == 4
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--strategy", "zz", "grammar"),
+        ("--tolerance", "nan", "tolerance must be positive and finite"),
+        ("--initial-grid", "4x0", "at least one element per side"),
+        ("--initial-grid", "4by4", "--initial-grid wants NxM"),
+        ("--intermediate", "max<=-1", "finite and non-negative"),
+    ])
+    def test_bad_setting_exits_before_reading_points(self, option, value, message,
+                                                     capsys):
+        """The run settings are checked before the point file is opened (a bad
+        label used to be reported only after a missing file was)."""
+        argv = ["fit", "--points", "/nonexistent.xyz", "--tolerance", "0.5"]
+        assert cli_main(argv + [option, value]) == 4
+        err = capsys.readouterr().err
+        assert message in err
+        assert "nonexistent" not in err
+
     def test_usage_error_exit(self):
         assert cli_main(["fit", "--points"]) == 4
         assert cli_main(["unknown-command"]) == 4
@@ -212,8 +229,8 @@ class TestStageParsing:
         assert stage.avg_out_cap == 1.5
 
     def test_bad_clause(self):
-        from lrfit.cli import SystemExit_
-        with pytest.raises(SystemExit_):
+        from lrfit.driver import InputError
+        with pytest.raises(InputError):
             parse_stage("frobnicate<=1")
 
     def test_bad_caps_exit(self, cloud_file, capsys):

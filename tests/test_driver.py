@@ -12,6 +12,7 @@ from lrfit.driver import (EXIT_CONVERGED, EXIT_ITERATION_CAP, EXIT_STAGNATION,
                           StagePredicate, detect_intermediate, initial_space,
                           oscillation_grade, run)
 from lrfit.fitting import FitConfig
+from lrfit.strategy import LabelError
 from lrfit.surface import LRSurface, PointCloud
 
 from conftest import non_finite_cells
@@ -51,6 +52,33 @@ class TestConfigValidation:
     def test_negative_iterations(self):
         with pytest.raises(InputError):
             RunConfig(tolerance=1.0, max_iterations=-1)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"initial_elements": (2.5, 3)}, InputError),
+        ({"initial_elements": (0, 3)}, InputError),
+        ({"initial_elements": (3, -1)}, InputError),
+        ({"initial_elements": (3,)}, InputError),
+        ({"initial_elements": (3, 3, 3)}, InputError),
+        ({"initial_elements": 3}, InputError),
+        ({"degrees": (2,)}, InputError),
+        ({"degrees": (2, 2, 2)}, InputError),
+        ({"degrees": 2}, InputError),
+        ({"degrees": (2.0, 2)}, InputError),
+        ({"strategy": "zz"}, LabelError),
+        ({"strategy": "bSB tn"}, LabelError),
+    ])
+    def test_bad_value_fails_at_construction(self, kwargs, error):
+        """Each bad value is rejected when the config is built (a fractional
+        grid used to escape from ``run`` as a TypeError, a one-element degree
+        tuple as an unpacking ValueError, and a bad label only inside
+        ``run``)."""
+        with pytest.raises(error):
+            RunConfig(tolerance=1.0, **kwargs)
+
+    def test_label_parsed_once(self):
+        cfg = RunConfig(strategy="bR/eFB tk/n", tolerance=1.0)
+        assert cfg.spec.label == "bR/eFB tk/n"
+        assert cfg.spec.switch_to.label == "eFB tn"
 
 
 class TestInitialSurface:
@@ -127,7 +155,7 @@ class TestRun:
         cloud = plane_cloud()
         cfg = RunConfig(strategy="eFB", tolerance=0.5)
         _surf, ledger = run(cloud, cfg)
-        assert ledger.converged
+        assert ledger.converged and ledger.stop_reason == "converged"
         assert ledger.rows[-1].iteration == 0
         assert ledger.rows[0].segments_inserted == 0
         assert ledger.exit_code() == EXIT_CONVERGED
@@ -137,7 +165,7 @@ class TestRun:
         cfg = RunConfig(strategy="eFB", tolerance=0.01, max_iterations=0)
         _surf, ledger = run(cloud, cfg)
         assert len(ledger.rows) == 1
-        assert not ledger.converged
+        assert not ledger.converged and ledger.stop_reason == "iteration cap"
         assert ledger.exit_code() == EXIT_ITERATION_CAP
 
     def test_wavy_converges_and_ledger_monotone(self):
@@ -157,13 +185,17 @@ class TestRun:
         assert [r.iteration for r in ledger.rows] == list(range(len(ledger.rows)))
 
     def test_intermediate_stage_and_tail(self):
+        """The stage is read off the finished ledger: the first row within it,
+        and the tail from there to the last row."""
         cloud = wavy_cloud()
-        cfg = RunConfig(strategy="eFB", tolerance=0.02, max_iterations=40,
-                        intermediate=StagePredicate(max_out_fraction=0.01))
+        cfg = RunConfig(strategy="eFB", tolerance=0.02, max_iterations=40)
         _surf, ledger = run(cloud, cfg)
-        assert ledger.intermediate_iter is not None
-        assert ledger.tail_length == (ledger.rows[-1].iteration
-                                      - ledger.intermediate_iter)
+        stage = StagePredicate(max_out_fraction=0.01)
+        reached = detect_intermediate(ledger, stage)
+        assert reached is not None
+        assert stage.satisfied(ledger.rows[reached])
+        assert not any(stage.satisfied(row) for row in ledger.rows[:reached])
+        assert 0 <= ledger.rows[-1].iteration - reached < len(ledger.rows)
 
     def test_deterministic_rerun(self):
         cloud = wavy_cloud()

@@ -1,6 +1,7 @@
 """Smoke runs of the analysis scripts under ``scripts/``: both read the
-ledger fields that ``run`` writes (stop flags, the intermediate stage and
-the oscillation grade), so a change to the loop must keep them running."""
+ledger that ``run`` writes (the stop reason, the rows the intermediate stage
+is read from and the oscillation grade), so a change to the loop must keep
+them running."""
 
 import os
 import subprocess
@@ -21,7 +22,8 @@ def run_script(name: str, *args: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-STOPS = ("converged", "stagnated", "iter-cap")
+#: the values of ``RunLedger.stop_reason``
+STOPS = ("converged", "stagnated", "iteration cap")
 LABELS = ["eFB", "eFA", "eFA tn", "eMcB", "bSB", "bRA tk", "bR+eLB tk"]
 
 
@@ -35,7 +37,7 @@ def test_compare_strategies():
     for row in rows:
         fields = row[12:].split()   # the label column is 12 wide
         assert 0 <= int(fields[0]) <= 3, row
-        assert fields[-1] in STOPS, row
+        assert row.rsplit("s  ", 1)[1] in STOPS, row   # after the time column
 
 
 def test_convergence_history():

@@ -80,6 +80,19 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             surf.evaluate(u1 + 0.1, v0)
 
+    @pytest.mark.parametrize("nan_u, nan_v", [(True, False), (False, True), (True, True)])
+    def test_nan_query_raises(self, nan_u, nan_v):
+        """A NaN coordinate is not inside the closed domain box; it used to
+        slip through as a NaN height."""
+        surf = seeded_surface(4)
+        u0, u1, v0, v1 = surf.domain
+        u = np.array([np.nan if nan_u else u0, 0.5 * (u0 + u1)])
+        v = np.array([np.nan if nan_v else v0, 0.5 * (v0 + v1)])
+        with pytest.raises(DomainError):
+            surf.evaluate(u, v)
+        with pytest.raises(DomainError):
+            surf.evaluate(u[0], v[0])
+
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=10, deadline=None)
     def test_refined_equals_bruteforce(self, seed):
