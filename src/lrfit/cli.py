@@ -146,7 +146,7 @@ def build_parser() -> _Parser:
                           help="verify a surface document survives a "
                                "write/read cycle")
     p_rt.add_argument("--surface", required=True)
-    p_rt.add_argument("--samples", type=int, default=500)
+    p_rt.add_argument("--samples", type=int, default=500, help="evaluations compared, >= 1")
     return parser
 
 
@@ -241,6 +241,8 @@ def _cmd_report(args) -> int:
 def _cmd_roundtrip(args) -> int:
     import tempfile
 
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     surface = read_surface(args.surface)
     with tempfile.NamedTemporaryFile("w", suffix=".lrb", delete=False) as fh:
         tmp = fh.name

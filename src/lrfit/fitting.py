@@ -97,9 +97,8 @@ def smoothing_matrix(space: LRSpace) -> sparse.csr_matrix:
     wq = ((half_u[:, None] * wu)[:, :, None] * (half_v[:, None] * wv)[:, None, :]).ravel()
     nq, n_pts = (p1 + 1) * (p2 + 1), len(wq)
     # one (B-spline, element) pair per element of each support, B-spline major
-    _, b2e = space.overlap_maps()
-    n_el = np.array([len(e) for e in b2e], dtype=np.int64)
-    elem, owner = np.concatenate(b2e), np.repeat(np.arange(len(b2e)), n_el)
+    owner, elem = space.element_pairs()
+    n_el = np.bincount(owner, minlength=len(space))
     # column i holds the D_uu, D_uv, D_vv rows of its n_col[i] Gauss points
     n_col = nq * n_el
     first = np.cumsum(n_col) - n_col
@@ -122,7 +121,7 @@ def smoothing_matrix(space: LRSpace) -> sparse.csr_matrix:
             pos = at + r * n_col[b]
             indices[pos] = ids + r * n_pts
             data[pos] = bu[du] * bv[dv] * scale[b]
-    d = sparse.csc_matrix((data, indices, indptr), shape=(3 * n_pts, len(b2e)))
+    d = sparse.csc_matrix((data, indices, indptr), shape=(3 * n_pts, len(n_el)))
     w = sparse.diags(np.concatenate([wq, w_twist * wq, wq]))
     m = (d.T @ (w @ d)).tocsr()
     # exact symmetry despite summation order

@@ -16,8 +16,8 @@ import numpy as np
 
 from .basis import basis_value
 from .driver import RunLedger
-from .mesh import SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, U, V
-from .surface import PAIR_BLOCK, LRSurface, PointCloud, support_pairs
+from .mesh import SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, U
+from .surface import PAIR_BLOCK, LRSurface, PointCloud
 
 SCHEMA_VERSION = 1
 
@@ -244,18 +244,15 @@ def _check_lr_space(space: LRSpace, path: str) -> None:
         space.elements()
     except MeshError as exc:
         raise FormatError(f"{path}: segments do not form a box partition: {exc}") from exc
-    for key in zip(*(a.tolist() for a in space.knot_indices())):
-        for axis, loc, run in ((U, key[0], key[1]), (V, key[1], key[0])):
-            covered = space.coverage(axis)[loc, run[0]:run[-1]].all(axis=1)
-            if not covered.all():
-                value = float(space.table(axis)[loc[int(covered.argmin())]])
-                raise FormatError(f"{path}: B-spline {[list(k) for k in key]}: knot "
-                                  f"line {axis}={value!r} is not a meshline across "
-                                  "its support")
-        if (offense := space.find_offense(key)) is not None:
-            value = float(space.table(offense[0])[offense[1]])
-            raise FormatError(f"{path}: B-spline {[list(k) for k in key]} lacks minimal "
-                              f"support: the meshline {offense[0]}={value!r} traverses it")
+    if (bad := space.first_invalid_bspline()) is not None:
+        bi, axis, index, is_knot = bad
+        key = [k[bi].tolist() for k in space.knot_indices()]
+        value = float(space.table(axis)[index])
+        if is_knot:
+            raise FormatError(f"{path}: B-spline {key}: knot line {axis}={value!r} is not "
+                              "a meshline across its support")
+        raise FormatError(f"{path}: B-spline {key} lacks minimal support: the meshline "
+                          f"{axis}={value!r} traverses it")
     _check_partition_of_unity(space, path)
 
 
@@ -268,7 +265,7 @@ def _check_partition_of_unity(space: LRSpace, path: str) -> None:
     # strictly inside each element, also where its width is one ulp
     centre = [np.clip(0.5 * a + 0.5 * b, a, np.nextafter(b, a))
               for a, b in (bounds[:, :2].T, bounds[:, 2:].T)]
-    bi, eid = support_pairs(space, *centre)
+    bi, eid = space.element_pairs()
     ku, kv = space.knot_indices()
     p1, p2 = space.degrees
     scale = space.scale_array()

@@ -243,61 +243,51 @@ class LRSpace:
         return self._cache["cell"]
 
     def _build_elements(self) -> tuple[np.ndarray, np.ndarray]:
-        covu = self.coverage(U)   # (len(u), len(v) - 1)
-        covv = self.coverage(V)   # (len(v), len(u) - 1)
-        nu = len(self.u) - 1
-        nv = len(self.v) - 1
-        cell = np.full((nu, nv), -1, dtype=np.int64)
-        els: list[tuple[int, int, int, int]] = []
-        for iv in range(nv):
-            xs = np.flatnonzero(covu[:, iv])
-            for pos in range(len(xs) - 1):
-                iu = int(xs[pos])
-                if not covv[iv, iu]:
-                    continue  # bottom edge absent: interior cell of an element
-                iu2 = int(xs[pos + 1])
-                col = covv[iv + 1:, iu]
-                iv2 = iv + 1 + int(np.argmax(col))
-                if not col[iv2 - iv - 1]:
-                    raise MeshError("unbounded element: missing top meshline")
-                # consistency: no meshline crosses the interior, edges covered
-                if covu[iu + 1:iu2, iv:iv2].any() or covv[iv + 1:iv2, iu:iu2].any():
-                    raise MeshError("meshline crosses element interior")
-                if not (covu[iu, iv:iv2].all() and covu[iu2, iv:iv2].all()
-                        and covv[iv, iu:iu2].all() and covv[iv2, iu:iu2].all()):
-                    raise MeshError("element edge not fully covered by meshlines")
-                if (cell[iu:iu2, iv:iv2] != -1).any():
-                    raise MeshError("overlapping elements")
-                cell[iu:iu2, iv:iv2] = len(els)
-                els.append((iu, iu2, iv, iv2))
-        if (cell == -1).any():
+        # each cell's nearest lines on its four sides, indexed [iu, iv]
+        (left, right), (bottom, top) = (_nearest_lines(self._cov[U]),
+                                        (a.T for a in _nearest_lines(self._cov[V])))
+        nu, nv = left.shape
+        if (left < 0).any() or (right > nu).any() or (bottom < 0).any() or (top > nv).any():
             raise MeshError("mesh does not tile the parameter rectangle")
-        return np.array(els, dtype=np.int64).reshape(-1, 4), cell
+        # the cells between the same four lines form a box exactly when no two
+        # neighbours without a line between them see different lines
+        differ_u = (bottom[1:] != bottom[:-1]) | (top[1:] != top[:-1])
+        differ_v = (left[:, 1:] != left[:, :-1]) | (right[:, 1:] != right[:, :-1])
+        if differ_u[~self._cov[U][1:-1]].any() or differ_v[~self._cov[V][1:-1].T].any():
+            raise MeshError("the cells between meshlines do not form boxes")
+        # number the elements by lower-left cell, v major
+        iv0, iu0 = np.nonzero(((left == np.arange(nu)[:, None])
+                               & (bottom == np.arange(nv))).T)
+        start = np.empty((nu, nv), dtype=np.int64)
+        start[iu0, iv0] = np.arange(len(iu0))
+        return (np.stack([iu0, right[iu0, iv0], iv0, top[iu0, iv0]], axis=1),
+                start[left, bottom])
+
+    def element_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(bi, eid)``: every pair of a B-spline id and an element of its
+        support, B-spline major and by ascending element id.  Not cached."""
+        els = self.elements()
+        nu = len(self.u) - 1
+        u0, u1, v0, v1 = self.support_boxes().T
+        # one run of element ids per support row: the elements are ordered by
+        # lower-left cell, v major
+        bi, row = np.repeat(np.arange(len(v0)), v1 - v0), _runs(v0, v1 - v0)
+        ll = els[:, 2] * nu + els[:, 0]
+        lo, hi = (np.searchsorted(ll, row * nu + a[bi]) for a in (u0, u1))
+        return np.repeat(bi, hi - lo), _runs(lo, hi - lo)
 
     def overlap_maps(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """``(elements -> B-spline ids, B-spline id -> element ids)``, each a
-        list of ascending int arrays.
-
-        Ids refer to :meth:`elements` and :meth:`keys_sorted` positions.
-        """
+        list of ascending int arrays of :meth:`elements` and
+        :meth:`keys_sorted` positions, from :meth:`element_pairs`."""
         maps = self._cache.get("overlap")
         if maps is None:
-            els = self.elements()
-            # element id at its lower-left cell, -1 elsewhere, indexed [v, u]: a
-            # support box slice holds the ids of its elements, ascending v-major
-            ll = np.full((len(self.v) - 1, len(self.u) - 1), -1, dtype=np.int64)
-            ll[els[:, 2], els[:, 0]] = np.arange(len(els))
-            b2e = []
-            for iu0, iu1, iv0, iv1 in self.support_boxes().tolist():
-                sub = ll[iv0:iv1, iu0:iu1]
-                b2e.append(sub[sub >= 0])
-            eids = np.concatenate(b2e)
+            bi, eid = self.element_pairs()
+            b2e = np.split(eid, np.cumsum(np.bincount(bi, minlength=len(self)))[:-1])
             # a stable sort keeps each element's B-splines in key order
-            order = np.argsort(eids, kind="stable")
-            bids = np.repeat(np.arange(len(b2e)), [len(e) for e in b2e])[order]
-            e2b = np.split(bids, np.cumsum(np.bincount(eids, minlength=len(els)))[:-1])
-            maps = (e2b, b2e)
-            self._cache["overlap"] = maps
+            e2b = np.split(bi[np.argsort(eid, kind="stable")],
+                           np.cumsum(np.bincount(eid, minlength=len(self.elements())))[:-1])
+            maps = self._cache["overlap"] = (e2b, b2e)
         return maps
 
     # ------------------------------------------------------------------
@@ -323,13 +313,30 @@ class LRSpace:
                 return (axis, lo + 1 + first)
         return None
 
-    def has_minimal_support(self, key) -> bool:
-        if key not in self.bsplines:
-            ku, kv = key
-            n_u, n_v = len(self.u), len(self.v)
-            if not all(0 <= i < n_u for i in ku) or not all(0 <= j < n_v for j in kv):
-                raise MeshError("B-spline knot indices out of range")
-        return self.find_offense(key) is None
+    def first_invalid_bspline(self) -> tuple[int, str, int, bool] | None:
+        """``(id, axis, table index, is_knot)`` of the first B-spline in key
+        order whose local knot lines are not exactly the meshlines across its
+        support, or None.  A knot line that is not one (``is_knot``) comes
+        before a meshline that traverses the support (see :meth:`find_offense`),
+        each at its lowest index, ``u`` before ``v``."""
+        ku, kv = self.knot_indices()
+        hits = []
+        for rank, (axis, loc, run) in enumerate(((U, ku, kv), (V, kv, ku))):
+            # one (B-spline, line) pair per line from its first to its last knot
+            n_line = loc[:, -1] - loc[:, 0] + 1
+            bi, line = np.repeat(np.arange(len(loc)), n_line), _runs(loc[:, 0], n_line)
+            a, b = run[bi, 0], run[bi, -1]
+            # covered[i, j]: intervals before j that the line at index i covers
+            covered = np.pad(np.cumsum(self._cov[axis], axis=1), ((0, 0), (1, 0)))
+            spans = covered[line, b] - covered[line, a] == b - a
+            is_knot = (loc[bi] == line[:, None]).any(axis=1)
+            bad = spans != is_knot
+            hits.append([bi[bad], ~is_knot[bad], np.full(bad.sum(), rank), line[bad]])
+        bi, offense, rank, line = (np.concatenate(h) for h in zip(*hits))
+        if not len(bi):
+            return None
+        k = np.lexsort((line, rank, offense, bi))[0]
+        return int(bi[k]), (U, V)[rank[k]], int(line[k]), not offense[k]
 
     # ------------------------------------------------------------------
     # knot table growth
@@ -435,6 +442,22 @@ class LRSpace:
             else:
                 self.add_bspline(child, alpha * scale, coeff)
             work.append(child)
+
+
+def _nearest_lines(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a coverage array of ``n + 1`` lines: at every cell ``[i, j]``, the
+    nearest line at or below ``i`` that covers interval ``j`` (-1 if none),
+    and the nearest one above ``i`` (``n + 1`` if none)."""
+    n = len(cov) - 1
+    at = np.arange(n + 1)[:, None]
+    below = np.maximum.accumulate(np.where(cov[:-1], at[:-1], -1), axis=0)
+    above = np.minimum.accumulate(np.where(cov[:0:-1], at[:0:-1], n + 1), axis=0)[::-1]
+    return below, above
+
+
+def _runs(start: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # the ranges start[k], ..., start[k] + n[k] - 1, one after another
+    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
 
 
 def split_knots(space: LRSpace, key, axis: str, ihat: int

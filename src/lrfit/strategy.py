@@ -175,10 +175,9 @@ def _support_point_stats(space: LRSpace, acc: AccuracyLedger
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per B-spline: point count, out-of-tolerance count and max distance
     over the elements in its support."""
-    _, b2e = space.overlap_maps()
+    bi, eids = space.element_pairs()
     # every support holds at least one element, so no run is empty
-    eids = np.concatenate(b2e)
-    first = np.cumsum([0] + [len(e) for e in b2e[:-1]])
+    first = np.searchsorted(bi, np.arange(len(space)))
     return (np.add.reduceat(acc.n_points[eids], first),
             np.add.reduceat(acc.n_out[eids], first),
             np.maximum.reduceat(acc.max_dist[eids], first))

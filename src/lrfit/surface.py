@@ -104,11 +104,17 @@ def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
     """Yield ``(bi, ids, R_u, R_v)`` for each B-spline id in ``bis`` with points
     in its support box: those points and its two univariate factors.  The
     support is a union of elements, hence of grid cells, so its points are
-    one run of ``order`` per support column."""
+    one run ``order[lo:hi]`` per support column (see :func:`_cell_order`)."""
     ku, kv = space.knot_indices()
     p1, p2 = space.degrees
     u1, v1 = float(space.u[-1]), float(space.v[-1])
-    lo, hi, first, n_col = _support_runs(space, start, bis)
+    nv = len(space.v) - 1
+    u_lo, u_hi, v_lo, v_hi = space.support_boxes()[bis].T
+    n_col = u_hi - u_lo
+    first = np.cumsum(n_col) - n_col
+    col = np.arange(n_col.sum()) - np.repeat(first - u_lo, n_col)
+    lo = start[col * nv + np.repeat(v_lo, n_col)]
+    hi = start[col * nv + np.repeat(v_hi, n_col)]
     n_pts = np.add.reduceat(hi - lo, first) if len(bis) else first
     lo, hi, first, last = lo.tolist(), hi.tolist(), first.tolist(), (first + n_col).tolist()
     for k in np.flatnonzero(n_pts).tolist():
@@ -117,35 +123,9 @@ def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
         yield bis[k], ids, basis_value(tu, p1, x[ids], u1), basis_value(tv, p2, y[ids], v1)
 
 
-def _support_runs(space: LRSpace, start: np.ndarray, bis):
-    """``(lo, hi, first, n_col)``: the points of B-spline ``bis[k]`` are the
-    runs ``order[lo[j]:hi[j]]`` for ``j`` from ``first[k]`` to ``first[k] +
-    n_col[k]``, one run per column of its support box (see
-    :func:`_cell_order` for ``order`` and ``start``)."""
-    nv = len(space.v) - 1
-    u_lo, u_hi, v_lo, v_hi = space.support_boxes()[bis].T
-    n_col = u_hi - u_lo
-    first = np.cumsum(n_col) - n_col
-    col = np.arange(n_col.sum()) - np.repeat(first - u_lo, n_col)
-    lo = start[col * nv + np.repeat(v_lo, n_col)]
-    hi = start[col * nv + np.repeat(v_hi, n_col)]
-    return lo, hi, first, n_col
-
-
 #: (B-spline, point) pairs per block of a pass over the pairs of a whole
 #: space: at about 120 B per pair, a block's arrays stay near 2 MB
 PAIR_BLOCK = 16_384
-
-
-def support_pairs(space: LRSpace, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(bi, ids)``: every pair of a B-spline id and a point in its support
-    box, in B-spline order, without a loop over the B-splines."""
-    _, order, start = _cell_order(space, x, y)
-    lo, hi, _, n_col = _support_runs(space, start, np.arange(len(space)))
-    length = hi - lo
-    bi = np.repeat(np.repeat(np.arange(len(n_col)), n_col), length)
-    pos = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - lo, length)
-    return bi, order[pos]
 
 
 @dataclass

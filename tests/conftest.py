@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from lrfit.basis import basis_value
-from lrfit.mesh import LRSpace, MeshSegment, U, V, make_tensor_mesh
+from lrfit.mesh import LRSpace, MeshError, MeshSegment, U, V, make_tensor_mesh
 
 
 def uniform_tensor_space(degrees, n_elems=4, lo=0.0, hi=1.0) -> LRSpace:
@@ -165,6 +165,40 @@ def element_boxes_oracle(space: LRSpace) -> set:
             "non-rectangular cell group"
         boxes.add(box)
     return boxes
+
+
+def element_scan(space: LRSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Element boxes and the cell-to-element map by the former cell-by-cell
+    scan: each cell with a left and a bottom edge starts an element reaching
+    the next line to its right and above it, whose interior and edges are
+    then checked.  Raises :class:`MeshError` as the scan did."""
+    covu, covv = space.coverage(U), space.coverage(V)
+    nu, nv = len(space.u) - 1, len(space.v) - 1
+    cell = np.full((nu, nv), -1, dtype=np.int64)
+    els = []
+    for iv in range(nv):
+        xs = np.flatnonzero(covu[:, iv])
+        for pos in range(len(xs) - 1):
+            iu = int(xs[pos])
+            if not covv[iv, iu]:
+                continue  # bottom edge absent: interior cell of an element
+            iu2 = int(xs[pos + 1])
+            col = covv[iv + 1:, iu]
+            iv2 = iv + 1 + int(np.argmax(col))
+            if not col[iv2 - iv - 1]:
+                raise MeshError("unbounded element: missing top meshline")
+            if covu[iu + 1:iu2, iv:iv2].any() or covv[iv + 1:iv2, iu:iu2].any():
+                raise MeshError("meshline crosses element interior")
+            if not (covu[iu, iv:iv2].all() and covu[iu2, iv:iv2].all()
+                    and covv[iv, iu:iu2].all() and covv[iv2, iu:iu2].all()):
+                raise MeshError("element edge not fully covered by meshlines")
+            if (cell[iu:iu2, iv:iv2] != -1).any():
+                raise MeshError("overlapping elements")
+            cell[iu:iu2, iv:iv2] = len(els)
+            els.append((iu, iu2, iv, iv2))
+    if (cell == -1).any():
+        raise MeshError("mesh does not tile the parameter rectangle")
+    return np.array(els, dtype=np.int64).reshape(-1, 4), cell
 
 
 @st.composite

@@ -126,7 +126,7 @@ def test_criterion_03_tensor_oracle():
 def test_criterion_04_minimal_support(corpus50):
     meshes, _ = corpus50
     for sp in meshes:
-        assert all(sp.has_minimal_support(k) for k in sp.bsplines)
+        assert sp.first_invalid_bspline() is None
 
 
 def test_criterion_05_mba_exact_and_contracting():

@@ -261,6 +261,18 @@ class TestPipelines:
         assert "n_out=0" in out
         assert cli_main(["roundtrip-check", "--surface", surf_path]) == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_roundtrip_rejects_samples_below_one(self, cloud_file, tmp_path, capsys, samples):
+        surf_path = str(tmp_path / "s.lrb")
+        assert cli_main(["fit", "--points", cloud_file, "--tolerance", "0.6",
+                         "--out", surf_path]) == 0
+        capsys.readouterr()
+        assert cli_main(["roundtrip-check", "--surface", surf_path,
+                         "--samples", samples]) == 4
+        captured = capsys.readouterr()
+        assert f"--samples must be at least 1, got {samples}" in captured.err
+        assert "roundtrip ok" not in captured.out
+
     def test_synth_rejects_bad_noise_and_outlier_fraction(self, tmp_path, capsys):
         pts = tmp_path / "p.xyz"
         argv = ["synth", "--kind", "scanlines", "--n", "200", "--out", str(pts)]

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -17,12 +18,14 @@ from hypothesis.extra.numpy import arrays
 import lrfit.io
 
 from lrfit.driver import RunConfig, run
+from lrfit.mesh import MeshError, U, V
 from lrfit.io import (REPORT_HEADER, FormatError, gen_synthetic, read_points,
                       read_surface, sample_raster, write_points, write_report,
                       write_surface, write_truth_sidecar)
 from lrfit.surface import LRSurface, PointCloud
 
-from conftest import partition_residual, random_refined_space, uniform_tensor_space
+from conftest import (element_scan, partition_residual, random_refined_space,
+                      uniform_tensor_space)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -511,6 +514,83 @@ class TestNotAnLRSpace:
                 f"bad.lrb: B-spline {doc['bsplines'][i]!r} repeats an interior "
                 "knot index")):
             self.read(doc, tmp_path)
+
+
+def per_bspline_read_check(space, path):
+    """The LR-space read check as a loop: the former cell-by-cell element
+    scan, then one B-spline at a time its local knot lines and
+    :meth:`~lrfit.mesh.LRSpace.find_offense`."""
+    try:
+        element_scan(space)
+    except MeshError as exc:
+        raise FormatError(f"{path}: segments do not form a box partition: {exc}") from exc
+    for key in zip(*(a.tolist() for a in space.knot_indices())):
+        for axis, loc, run in ((U, key[0], key[1]), (V, key[1], key[0])):
+            covered = space.coverage(axis)[loc, run[0]:run[-1]].all(axis=1)
+            if not covered.all():
+                value = float(space.table(axis)[loc[int(covered.argmin())]])
+                raise FormatError(f"{path}: B-spline {[list(k) for k in key]}: knot "
+                                  f"line {axis}={value!r} is not a meshline across "
+                                  "its support")
+        if (offense := space.find_offense(key)) is not None:
+            value = float(space.table(offense[0])[offense[1]])
+            raise FormatError(f"{path}: B-spline {[list(k) for k in key]} lacks minimal "
+                              f"support: the meshline {offense[0]}={value!r} traverses it")
+
+
+def flip_span(space, rng):
+    """Shorten, drop or extend one random meshline segment of ``space`` by
+    editing its coverage; returns the edit's name."""
+    segments = space.segments()
+    seg = segments[int(rng.integers(len(segments)))]
+    row = space.coverage(seg.axis)[seg.fixed]
+    ends = [end for end in (seg.lo - 1, seg.hi) if 0 <= end < len(row)]
+    kind = rng.choice(["shorten", "drop", "extend"] if ends else ["shorten", "drop"])
+    if kind == "shorten":
+        row[seg.lo if rng.random() < 0.5 else seg.hi - 1] = False
+    elif kind == "drop":
+        row[seg.lo:seg.hi] = False
+    else:
+        row[ends[int(rng.integers(len(ends)))]] = True
+    space._touch()
+    return kind
+
+
+class TestReadCheckAgainstPerBsplineLoop:
+    """Random coverage flips on both stored benchmark documents are accepted
+    or rejected as the per-B-spline loop does, with its B-spline messages.
+    An element failure may read differently: the former scan met a defect
+    from the first element start it reached, the array pass from any cell."""
+
+    def test_coverage_flips(self):
+        rng = np.random.default_rng(400)
+        spaces = [read_surface(str(PERFBENCH / "data" / name)).space
+                  for name in ("dunes1_p2.lrb", "dunes1_p3.lrb")]
+        for space in spaces:
+            per_bspline_read_check(space, "stored")
+        seen = Counter()
+        for _ in range(80):
+            space = spaces[int(rng.integers(2))]
+            saved = {axis: space.coverage(axis).copy() for axis in (U, V)}
+            kind = flip_span(space, rng)
+            results = []
+            for check in (lrfit.io._check_lr_space, per_bspline_read_check):
+                try:
+                    check(space, "flip")
+                    results.append(None)
+                except FormatError as exc:
+                    results.append(str(exc))
+            got, expected = results
+            if expected is None or "B-spline" in expected:
+                assert got == expected, kind
+            else:
+                assert got.startswith("flip: segments do not form a box partition: "), kind
+            seen[next((rule for rule in ("box partition", "knot line", "minimal support")
+                       if rule in (expected or "")), "accepted")] += 1
+            for axis in (U, V):
+                space.coverage(axis)[:] = saved[axis]
+            space._touch()
+        assert {"box partition", "knot line", "minimal support"} <= seen.keys(), seen
 
 
 def indented_text(text: str) -> str:

@@ -1,18 +1,20 @@
 """LR mesh structure: insertion, minimal support, elements, scaling."""
 
 from collections import deque
+from copy import deepcopy
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lrfit.basis import basis_value
 from lrfit.mesh import (SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, SegmentError,
                         U, V, make_tensor_mesh, split_knots)
 
-from conftest import (ALL_DEGREES, element_boxes_oracle, local_knot_values,
+from conftest import (ALL_DEGREES, element_boxes_oracle, element_scan, local_knot_values,
                       partition_residual, random_refined_space, support_values,
                       uniform_tensor_space)
 
@@ -52,7 +54,7 @@ class TestReferenceMesh:
 
     def test_minimal_support(self):
         sp = reference_mesh()
-        assert all(sp.has_minimal_support(k) for k in sp.bsplines)
+        assert sp.first_invalid_bspline() is None
 
     def test_scales(self):
         s = reference_mesh().scale_array()
@@ -141,7 +143,7 @@ class TestRandomRefinement:
     def test_invariants_hold(self, seed):
         sp = random_refined_space(seed, (2, 2), n_insertions=8)
         assert partition_residual(sp, n=50, seed=seed) < 1e-12
-        assert all(sp.has_minimal_support(k) for k in sp.bsplines)
+        assert sp.first_invalid_bspline() is None
         s = sp.scale_array()
         # scales accumulate as sums of subdivision weights, so allow a few
         # ulps of float excess over the exact (0, 1] range
@@ -229,6 +231,76 @@ def test_overlap_maps_match_unique_formulation(corpus50):
         assert len(b2e) == len(o_b2e)
         for got, expected in zip(b2e, o_b2e):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_elements_equal_cell_scan(corpus50):
+    """The array passes give the former scan's boxes and cell map, bit for bit."""
+    meshes, _ = corpus50
+    for sp in meshes:
+        els, cell = element_scan(sp)
+        for got, expected in ((sp.elements(), els), (sp.cell_to_element(), cell)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def boxed_grid(nu=3, nv=3):
+    """A bilinear space without B-splines on a grid of ``nu`` by ``nv``
+    cells, whose only meshlines are the four sides of the domain."""
+    sp = LRSpace(np.arange(nu + 1.0), np.arange(nv + 1.0), (1, 1))
+    for axis in (U, V):
+        sp.coverage(axis)[[0, -1]] = True
+    return sp
+
+
+class TestElementMessages:
+    """One hand-built coverage per message of the element pass.  The former
+    cell scan rejects each of them too; "overlapping elements" cannot occur,
+    as each cell maps to one element."""
+
+    @pytest.mark.parametrize("axis, line", [(U, 0), (U, -1), (V, 0), (V, -1)])
+    def test_side_of_the_domain_missing(self, axis, line):
+        sp = boxed_grid()
+        sp.coverage(axis)[line, 1] = False
+        with pytest.raises(MeshError, match="^mesh does not tile the parameter rectangle$"):
+            sp.elements()
+        with pytest.raises(MeshError):
+            element_scan(sp)
+
+    @pytest.mark.parametrize("lines", [
+        [(U, 1, 0, 2)],                  # a line that ends inside the element
+        [(U, 1, 1, 2)],                  # a line that touches no other
+        [(U, 1, 1, 3), (V, 1, 1, 3)],    # an L-shaped region around a box
+    ])
+    def test_cells_that_do_not_form_boxes(self, lines):
+        sp = boxed_grid()
+        for axis, fixed, lo, hi in lines:
+            sp.coverage(axis)[fixed, lo:hi] = True
+        with pytest.raises(MeshError, match="^the cells between meshlines do not form boxes$"):
+            sp.elements()
+        with pytest.raises(MeshError):
+            element_scan(sp)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_random_coverage_accepted_as_by_cell_scan(data):
+    """On small grids with random interior lines, the array passes accept
+    exactly the coverages the former scan accepts, with its boxes and map."""
+    nu, nv = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    sp = boxed_grid(nu, nv)
+    for axis, shape in ((U, (nu - 1, nv)), (V, (nv - 1, nu))):
+        sp.coverage(axis)[1:-1] = data.draw(arrays(np.bool_, shape))
+    if data.draw(st.booleans()):    # sometimes an open side as well
+        axis = data.draw(st.sampled_from([U, V]))
+        row = sp.coverage(axis)[data.draw(st.sampled_from([0, -1]))]
+        row[data.draw(st.integers(0, len(row) - 1))] = False
+    try:
+        expected = element_scan(sp)
+    except MeshError:
+        with pytest.raises(MeshError):
+            sp.elements()
+        return
+    assert np.array_equal(sp.elements(), expected[0])
+    assert np.array_equal(sp.cell_to_element(), expected[1])
 
 
 def test_support_boxes_follow_keys(corpus50):
@@ -401,7 +473,7 @@ class TestRandomSegmentSequences:
                 space.ensure_values(axis, [p[1] for p in planned if p[0] == axis])
             space.try_apply_segments(batch_segments(space, planned))
             assert {tuple(e) for e in space.elements().tolist()} == element_boxes_oracle(space)
-        assert all(space.has_minimal_support(k) for k in space.bsplines)
+        assert space.first_invalid_bspline() is None
         assert partition_residual(space, n=100) < 1e-12
 
 
@@ -493,6 +565,55 @@ class TestFindOffenseDifferential:
         for key, expected in cases.items():
             assert sp.find_offense(key) == expected
             assert find_offense_oracle(sp, key) == expected
+
+
+def per_key_violation(space, key):
+    """The former per-B-spline read check of one key: a local knot line that
+    is not a meshline across the support, then :func:`find_offense_oracle`;
+    ``(axis, table index, is_knot)`` or None."""
+    for axis, loc, run in ((U, key[0], key[1]), (V, key[1], key[0])):
+        covered = space.coverage(axis)[list(loc), run[0]:run[-1]].all(axis=1)
+        if not covered.all():
+            return axis, loc[int(covered.argmin())], True
+    offense = find_offense_oracle(space, key)
+    return None if offense is None else (*offense, False)
+
+
+class TestFirstInvalidBspline:
+    def test_corpus50_with_a_random_key_added(self, corpus50):
+        """Each corpus space keeps every rule; with one random key added, the
+        first invalid B-spline is that key, with the failure the per-key
+        check finds, or there is none."""
+        meshes, _ = corpus50
+        rng = np.random.default_rng(11)
+        seen = {True: 0, False: 0, None: 0}
+        for sp in meshes:
+            assert sp.first_invalid_bspline() is None
+            for key in random_keys(sp, rng, 8):
+                if key in sp.bsplines:
+                    continue
+                grown = deepcopy(sp)
+                grown.add_bspline(key, 1.0, 0.0)
+                expected = per_key_violation(grown, key)
+                got = grown.first_invalid_bspline()
+                if expected is None:
+                    assert got is None, key
+                else:
+                    assert got == (grown.keys_sorted().index(key), *expected), key
+                seen[None if expected is None else expected[2]] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_first_in_key_order_knot_line_before_offense(self):
+        # two invalid keys on a tensor mesh with one new, uncovered line: the
+        # one first in key order is named, and of its failures the uncovered
+        # knot line u=0.6 comes before the offending line u=0.25
+        sp = uniform_tensor_space((2, 2), n_elems=4)
+        sp.ensure_values(U, [0.6])
+        for key in [((1, 2, 3, 5), (1, 2, 3, 4)), ((0, 0, 3, 5), (0, 0, 0, 1))]:
+            sp.add_bspline(key, 1.0, 0.0)
+        first = sp.keys_sorted().index(((0, 0, 3, 5), (0, 0, 0, 1)))
+        assert sp.first_invalid_bspline() == (first, U, 3, True)
+        assert find_offense_oracle(sp, sp.keys_sorted()[first]) == (U, 1)
 
 
 class TestTraversalIndex:
