@@ -11,13 +11,13 @@ import json
 import math
 import sys
 import warnings
+from itertools import compress
 
 import numpy as np
 
-from .basis import basis_value
 from .driver import RunLedger
 from .mesh import SUPPORTED_DEGREES, LRSpace, MeshError, MeshSegment, U
-from .surface import PAIR_BLOCK, LRSurface, PointCloud
+from .surface import LRSurface, PointCloud, element_sums
 
 SCHEMA_VERSION = 1
 
@@ -182,7 +182,7 @@ def read_surface(path: str) -> LRSurface:
             ms = MeshSegment(str(axis), fixed, lo, hi)
         except (TypeError, ValueError, MeshError) as exc:
             raise FormatError(f"{path}: corrupt segment {seg!r}: {exc}") from exc
-        if not _all_ints((fixed, lo, hi)):
+        if not all(type(x) is int for x in (fixed, lo, hi)):   # not a float or a bool
             raise FormatError(f"{path}: segment {seg!r} has a non-integer index")
         n_fix = nu if ms.axis == U else nv
         n_orth = nv if ms.axis == U else nu
@@ -190,45 +190,9 @@ def read_surface(path: str) -> LRSurface:
             raise FormatError(f"{path}: segment {seg!r} indexes outside "
                               "the knot tables")
         space._add_span(ms.axis, ms.fixed, ms.lo, ms.hi)
-    p1, p2 = degrees
-    for entry in bsplines:
-        try:
-            ku, kv, coeff, scale = entry
-            key = (tuple(ku), tuple(kv))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: corrupt B-spline {entry!r}: {exc}") from exc
-        if not _all_ints(key[0] + key[1]):
-            raise FormatError(f"{path}: B-spline {entry!r} has a non-integer knot index")
-        if not _finite_number(coeff):
-            raise FormatError(f"{path}: B-spline {entry!r} has a coefficient that is "
-                              "not a finite number")
-        # refinement only multiplies and adds positive weights
-        if not (_finite_number(scale) and scale > 0):
-            raise FormatError(f"{path}: B-spline {entry!r} has a scale that is "
-                              "not a finite positive number")
-        if len(key[0]) != p1 + 2 or len(key[1]) != p2 + 2:
-            raise FormatError(f"{path}: B-spline {entry!r} has the wrong "
-                              "local knot count for its degree")
-        for idx, n in ((key[0], nu), (key[1], nv)):
-            if not (0 <= idx[0] and idx[-1] < n and all(a <= b for a, b in zip(idx, idx[1:]))):
-                raise FormatError(f"{path}: B-spline {entry!r} indexes outside "
-                                  "the knot tables")
-            if idx[0] == idx[-1]:
-                raise FormatError(f"{path}: B-spline {entry!r} has an empty support")
-            # interior knots are simple; only the boundary ones repeat
-            if any(a == b and 0 < a < n - 1 for a, b in zip(idx, idx[1:])):
-                raise FormatError(f"{path}: B-spline {entry!r} repeats an interior "
-                                  "knot index")
-        if key in space.bsplines:
-            raise FormatError(f"{path}: duplicate B-spline {entry!r}")
-        space.add_bspline(key, float(scale), float(coeff))
+    space.add_bsplines(*_bspline_columns(bsplines, degrees, (nu, nv), path))
     _check_lr_space(space, path)
     return LRSurface(space)
-
-
-def _all_ints(values) -> bool:
-    # a JSON integer, not a float or a bool
-    return all(type(x) is int for x in values)
 
 
 def _finite_number(x) -> bool:
@@ -236,10 +200,62 @@ def _finite_number(x) -> bool:
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
+def _bspline_columns(bsplines: list, degrees, n_knots, path: str):
+    """The entries ``[ku, kv, coeff, scale]`` as store columns: knot index rows,
+    scales and coefficients.  Each rule runs over all entries at once, and
+    the first bad entry is named with the message of its first broken rule."""
+    key, n_u, n_v, coeff, scale, error = zip(*map(_unpack_entry, bsplines))
+    coeff, scale = (np.array([x if _finite_number(x) else np.nan for x in c], dtype=float)
+                    for c in (coeff, scale))
+    ints = np.array([{*map(type, k)} <= {int} for k in key])   # not a float or a bool
+    counts = np.equal(n_u, degrees[0] + 2) & np.equal(n_v, degrees[1] + 2)
+    keys = np.zeros((len(key), sum(degrees) + 4), dtype=np.int64)
+    # clipped to [-1, n], the indices keep their range and order answers
+    use = np.array(list(compress(key, ints & counts)), dtype=object).reshape(-1, len(keys.T))
+    keys[ints & counts] = np.clip(use, -1, max(n_knots)).astype(np.int64)
+    ku, kv = np.split(keys, [degrees[0] + 2], axis=1)
+    # each rule with the message for an entry that breaks it, in checking order
+    rules = [(np.equal(error, None), "corrupt B-spline {entry!r}: {error}"),
+             (ints, "B-spline {entry!r} has a non-integer knot index"),
+             (np.isfinite(coeff), "B-spline {entry!r} has a coefficient that is not a "
+              "finite number"),
+             # refinement only multiplies and adds positive scales
+             (scale > 0, "B-spline {entry!r} has a scale that is not a finite positive number"),
+             (counts, "B-spline {entry!r} has the wrong local knot count for its degree")]
+    for idx, n in ((ku, n_knots[0]), (kv, n_knots[1])):
+        step, inner = np.diff(idx, axis=1), idx[:, 1:]
+        rules += [((idx[:, 0] >= 0) & (idx[:, -1] < n) & (step >= 0).all(axis=1),
+                   "B-spline {entry!r} indexes outside the knot tables"),
+                  (idx[:, 0] != idx[:, -1], "B-spline {entry!r} has an empty support"),
+                  # interior knots are simple; only the boundary ones repeat
+                  (~((step == 0) & (0 < inner) & (inner < n - 1)).any(axis=1),
+                   "B-spline {entry!r} repeats an interior knot index")]
+    first = np.zeros(len(key), dtype=bool)
+    first[np.unique(keys, axis=0, return_index=True)[1]] = True
+    rules.append((first, "duplicate B-spline {entry!r}"))
+    ok = np.stack([rule for rule, _ in rules])
+    if not ok.all():
+        k = int(ok.all(axis=0).argmin())
+        message = rules[int(ok[:, k].argmin())][1]
+        raise FormatError(f"{path}: " + message.format(entry=bsplines[k], error=error[k]))
+    return ku, kv, scale, coeff
+
+
+def _unpack_entry(entry):
+    """``(ku + kv, len(ku), len(kv), coeff, scale, None)``, or placeholders and
+    the reason the entry does not unpack."""
+    try:
+        ku, kv, coeff, scale = entry
+        ku, kv = tuple(ku), tuple(kv)
+        return ku + kv, len(ku), len(kv), coeff, scale, None
+    except (TypeError, ValueError) as exc:
+        return (), 0, 0, 0.0, 1.0, str(exc)
+
+
 def _check_lr_space(space: LRSpace, path: str) -> None:
     """Reject segments that do not tile the domain, B-spline local knot lines
     that are not meshlines across the support, non-minimal supports, and
-    scales under which the B-splines are not a partition of unity."""
+    scales under which the B-splines do not sum to one within 1e-12."""
     try:
         space.elements()
     except MeshError as exc:
@@ -253,28 +269,13 @@ def _check_lr_space(space: LRSpace, path: str) -> None:
                               "a meshline across its support")
         raise FormatError(f"{path}: B-spline {key} lacks minimal support: the meshline "
                           f"{axis}={value!r} traverses it")
-    _check_partition_of_unity(space, path)
-
-
-def _check_partition_of_unity(space: LRSpace, path: str) -> None:
-    """Reject a document whose scaled B-splines do not sum to one within
-    1e-12 at every element centre.  A scale that is off by ``e`` moves the sum
-    by ``e`` times a positive B-spline value at the centre of every element of
-    its support; the coefficients do not enter."""
+    # partition of unity at every element centre: a scale off by ``e`` moves
+    # the sum there by ``e`` times a positive B-spline value
     bounds = space.element_bounds()
     # strictly inside each element, also where its width is one ulp
     centre = [np.clip(0.5 * a + 0.5 * b, a, np.nextafter(b, a))
               for a, b in (bounds[:, :2].T, bounds[:, 2:].T)]
-    bi, eid = space.element_pairs()
-    ku, kv = space.knot_indices()
-    p1, p2 = space.degrees
-    scale = space.scale_array()
-    total = np.zeros(len(bounds))
-    for start in range(0, len(bi), PAIR_BLOCK):
-        b, e = bi[start:start + PAIR_BLOCK], eid[start:start + PAIR_BLOCK]
-        terms = (basis_value(space.u[ku[b].T], p1, centre[0][e])
-                 * basis_value(space.v[kv[b].T], p2, centre[1][e]) * scale[b])
-        total += np.bincount(e, terms, minlength=len(bounds))
+    total = element_sums(space, *centre, np.ones(len(space)))
     bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-12))   # NaN fails too
     if len(bad):
         k = int(bad[0])
@@ -305,8 +306,9 @@ def sample_raster(surface: LRSurface, nx: int, ny: int, path: str) -> None:
         fh.write(f"dx {(u1 - u0) / (nx - 1)!r}\n")
         fh.write(f"dy {(v1 - v0) / (ny - 1)!r}\n")
         fh.write("NODATA_value -9999\n")
+        # one row's floats at a time: the whole grid as a list holds 8 MB
         for row in zz[::-1]:
-            fh.write(" ".join(repr(float(z)) for z in row) + "\n")
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,8 @@ class LRSpace:
 
     Use :func:`make_tensor_mesh` to construct one.  Mutation happens through
     :meth:`ensure_values`, :meth:`insert_segment`, :meth:`try_apply_segments`,
-    :meth:`add_bspline` and :meth:`set_coeffs`; the rest are read-only queries.
+    :meth:`add_bspline`, :meth:`add_bsplines` and :meth:`set_coeffs`; the rest
+    are read-only queries.
     """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, degrees: tuple[int, int]):
@@ -109,8 +110,8 @@ class LRSpace:
     @property
     def bsplines(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
         """``(ku tuple, kv tuple) -> store row`` of every B-spline, in row
-        order: the split cascade looks up an existing child here.  Rebuilt
-        from the store on first use after a knot-table remap."""
+        order: the split cascade looks up an existing child here.  Built
+        from the store on first use after a knot-table remap or a bulk add."""
         if self._index is None:
             rows = np.flatnonzero(self._alive[:self._n])
             self._index = dict(zip(self._keys(rows), rows.tolist()))
@@ -127,7 +128,11 @@ class LRSpace:
             rows = np.flatnonzero(self._alive[:self._n])
             # lexsort's last key is the primary one
             rows = rows[np.lexsort(np.hstack([self._ku[rows], self._kv[rows]]).T[::-1])]
-            ku, kv = self._ku[rows], self._kv[rows]
+            if np.array_equal(rows, np.arange(self._n)):
+                # a store in key order, as a read document fills it: views
+                ku, kv = self._ku[:self._n], self._kv[:self._n]
+            else:
+                ku, kv = self._ku[rows], self._kv[rows]
             boxes = np.stack([ku[:, 0], ku[:, -1], kv[:, 0], kv[:, -1]], axis=1)
             entry = self._cache["sorted"] = (rows, ku, kv, boxes)
         return entry
@@ -194,6 +199,16 @@ class LRSpace:
         self._scale[n], self._coeff[n], self._alive[n] = scale, coeff, True
         self._n = n + 1
         self.bsplines[key] = n
+        self._touch()
+
+    def add_bsplines(self, ku, kv, scale, coeff) -> None:
+        """:meth:`add_bspline` for columns of local knot index rows, scales and
+        coefficients; the :attr:`bsplines` index is built on first use."""
+        n = self._n
+        for name, new in zip(("_ku", "_kv", "_scale", "_coeff", "_alive"),
+                             (ku, kv, scale, coeff, np.ones(len(scale), dtype=bool))):
+            setattr(self, name, np.concatenate([getattr(self, name)[:n], new]))
+        self._n, self._index = n + len(scale), None
         self._touch()
 
     # ------------------------------------------------------------------
@@ -355,11 +370,11 @@ class LRSpace:
             raise MeshError("new knot value outside the parameter domain")
         merged = np.sort(np.concatenate([table, add]))
         imap = np.searchsorted(merged, table)
+        # new arrays, not in place: a sorted view may share the old ones
         if axis == U:
-            self.u, knots = merged, self._ku
+            self.u, self._ku = merged, imap[self._ku]
         else:
-            self.v, knots = merged, self._kv
-        knots[:self._n] = imap[knots[:self._n]]
+            self.v, self._kv = merged, imap[self._kv]
         self._index = None
         # new lines are empty; a line across a split interval covers both halves
         # (take keeps the row-major layout that row and column scans expect)

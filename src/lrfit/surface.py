@@ -72,18 +72,74 @@ class LRSurface:
         # "inside the closed box", so that a NaN coordinate fails it too
         if not ((u0 <= uu) & (uu <= u1) & (v0 <= vv) & (vv <= v1)).all():
             raise DomainError("query point outside the surface domain")
-        _, order, start = _cell_order(sp, uu, vv)
-        s, c = sp.scale_array(), sp.coeff_array()
-        out = np.zeros_like(uu)
-        # every point takes its terms ((R_u R_v) s) P in key order, as the
-        # collocation matrix times the coefficients does
-        for bi, ids, ru, rv in _bspline_points(sp, order, start, uu, vv, np.arange(len(s))):
-            ru *= rv
-            ru *= s[bi]
-            ru *= c[bi]
-            out[ids] += ru
-        out = out.reshape(shape)
+        out = element_sums(sp, uu, vv, sp.coeff_array()).reshape(shape)
         return float(out) if out.ndim == 0 else out
+
+
+def element_sums(space: LRSpace, x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``sum_i ((R_u R_v) s_i) w_i`` over the B-splines of each point's element,
+    the only ones nonzero there: heights for ``w`` the coefficients, partition
+    of unity for ``w = 1``.  Per block of ``PAIR_BLOCK`` points, one
+    :func:`basis_value` call per distinct local knot row of each direction;
+    then each point adds its terms one element slot at a time, in key order
+    as the collocation matrix does (a padded slot adds 0.0).  Caches nothing."""
+    s, w, j, dirs = _element_tables(space, weight)
+    out = np.zeros(len(x))
+    for start in range(0, len(x), PAIR_BLOCK):
+        b = slice(start, start + PAIR_BLOCK)
+        # half-open cells, closed at the domain top, as assign_points takes them
+        e = space.cell_to_element()[tuple(
+            np.clip(np.searchsorted(t, c[b], side="right") - 1, 0, len(t) - 2)
+            for t, c in zip((space.u, space.v), (x, y)))]
+        (r_u, at_u), (r_v, at_v) = (_row_values(*d, e, c[b]) for d, c in zip(dirs, (x, y)))
+        acc = out[b]
+        for k in range(len(s)):
+            term = r_u[at_u + j[0, k, e]] * r_v[at_v + j[1, k, e]]
+            term *= s[k, e]
+            term *= w[k, e]
+            acc += term
+    return out
+
+
+def _element_tables(space: LRSpace, weight: np.ndarray):
+    """``(s, w, j, dirs)``: ``s[k, e]`` and ``w[k, e]`` are the scale and
+    weight of the B-spline in slot ``k`` of element ``e`` (zero in a padded
+    slot).  Per direction ``d``, ``dirs[d]`` holds the distinct local knot
+    vectors, the degree, the domain end and each element's distinct rows as
+    ``rows[first[e]:first[e + 1]]``, and ``j[d, k, e]`` picks slot ``k``'s."""
+    bi, eid = space.element_pairs()
+    # the pairs are B-spline major: a stable sort keeps key order per element
+    by_element = np.argsort(eid, kind="stable")
+    bi, eid = bi[by_element], eid[by_element]
+    slot = np.arange(len(eid)) - np.searchsorted(eid, eid)
+    n_el = len(space.elements())
+    s, w = np.zeros((2, slot.max(initial=0) + 1, n_el))
+    s[slot, eid], w[slot, eid] = space.scale_array()[bi], weight[bi]
+    j, dirs = np.zeros((2, *s.shape), dtype=np.int64), []
+    for table, loc, p, j_of in zip((space.u, space.v), space.knot_indices(), space.degrees, j):
+        knots, row_of = np.unique(table[loc], axis=0, return_inverse=True)
+        pair, at = np.unique(eid * len(knots) + row_of.ravel()[bi], return_inverse=True)
+        first = np.searchsorted(pair // len(knots), np.arange(n_el + 1))
+        j_of[slot, eid] = at - first[eid]
+        dirs.append((knots, p, float(table[-1]), pair % len(knots), first))
+    return s, w, j, dirs
+
+
+def _row_values(knots, degree, end, rows, first, e, x):
+    """The values at each point ``x`` of the distinct rows of its element
+    ``e``, point after point, and where each point's values start.  The row
+    ids sort as the smallest unsigned type, which numpy radix-sorts."""
+    n = first[e + 1] - first[e]
+    at = np.cumsum(n) - n
+    r = rows[np.arange(n.sum()) - np.repeat(at - first[e], n)]
+    order = np.argsort(r.astype(np.min_scalar_type(len(knots))), kind="stable")
+    r, xs = r[order], x[np.repeat(np.arange(len(e)), n)[order]]
+    bounds = np.r_[0, np.flatnonzero(np.diff(r)) + 1, len(r)].tolist()
+    # and a trailing 0.0 for a last point whose element has no B-spline
+    values = np.zeros(len(r) + 1)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        values[order[lo:hi]] = basis_value(knots[r[lo]], degree, xs[lo:hi], end)
+    return values, at
 
 
 def _cell_order(space: LRSpace, x: np.ndarray, y: np.ndarray):
@@ -124,7 +180,7 @@ def _bspline_points(space: LRSpace, order: np.ndarray, start: np.ndarray,
 
 
 #: (B-spline, point) pairs per block of a pass over the pairs of a whole
-#: space: at about 120 B per pair, a block's arrays stay near 2 MB
+#: space, at about 120 B per pair, or points per block of :func:`element_sums`
 PAIR_BLOCK = 16_384
 
 

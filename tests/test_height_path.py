@@ -1,11 +1,14 @@
-"""The one height path: per-B-spline support boxes over cell-sorted points.
+"""The two height paths and their element-wise oracles.
 
-``LRSurface.evaluate`` and ``Collocation.update`` find each B-spline's points
-by slicing one cell order of the points.  The oracles below are the
-element-wise paths they replaced: the element loop of the old ``evaluate``,
-which multiplies each term as the collocation matrix does (``R_u R_v s P``),
-and the gather of the per-element point lists over each B-spline's elements
-(``b2e``) of the old collocation update.
+``LRSurface.evaluate`` is element-major: it finds each point's element and
+evaluates the element's distinct local knot rows once per direction, then
+adds each B-spline's term ``((R_u R_v) s) P`` in key order, as the
+collocation matrix times the coefficients does.  ``Collocation.update``
+finds each B-spline's points by slicing one cell order of the points.  The
+oracles below are the element loop of the former ``evaluate``, which
+evaluates every B-spline of an element on its own, and the gather of the
+per-element point lists over each B-spline's elements (``b2e``) of the
+former collocation update.
 """
 
 from pathlib import Path

@@ -1,9 +1,11 @@
 """Text formats: point files, surface documents, rasters, reports, synth."""
 
 import copy
+import gc
 import importlib.util
 import json
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -330,6 +332,22 @@ class TestSurfaceDocument:
         write_surface(surf, str(path))
         assert read_surface(str(path)).space.keys_sorted() == surf.space.keys_sorted()
 
+    def test_element_without_bsplines(self, tmp_path):
+        """A tensor document without the B-splines over its top right element,
+        the last element centre the partition-of-unity check evaluates."""
+        sp = uniform_tensor_space((2, 2), n_elems=3)
+        path = tmp_path / "s.lrb"
+        write_surface(LRSurface(sp), str(path))
+        doc = json.loads(path.read_text())
+        nu, nv = len(doc["knots_u"]), len(doc["knots_v"])
+        kept = [b for b in doc["bsplines"] if b[0][-1] < nu - 1 or b[1][-1] < nv - 1]
+        assert 0 < len(kept) < len(doc["bsplines"])
+        doc["bsplines"] = kept
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"the scaled B-splines sum to \S+, not 1, "
+                                              "at the centre"):
+            read_surface(str(path))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "s.lrb"
         path.write_text("not a document")
@@ -591,6 +609,157 @@ class TestReadCheckAgainstPerBsplineLoop:
                 space.coverage(axis)[:] = saved[axis]
             space._touch()
         assert {"box partition", "knot line", "minimal support"} <= seen.keys(), seen
+
+
+def per_entry_read_check(bsplines, degrees, n_knots, path):
+    """The former read loop over the B-spline entries: one entry at a time,
+    each check in turn, raising on the first failure; otherwise the keys,
+    scales and coefficients in entry order."""
+    (p1, p2), (nu, nv) = degrees, n_knots
+    keys, scales, coeffs = [], [], []
+    for entry in bsplines:
+        try:
+            ku, kv, coeff, scale = entry
+            key = (tuple(ku), tuple(kv))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: corrupt B-spline {entry!r}: {exc}") from exc
+        if not all(type(x) is int for x in key[0] + key[1]):
+            raise FormatError(f"{path}: B-spline {entry!r} has a non-integer knot index")
+        if not json_finite(coeff):
+            raise FormatError(f"{path}: B-spline {entry!r} has a coefficient that is "
+                              "not a finite number")
+        if not (json_finite(scale) and scale > 0):
+            raise FormatError(f"{path}: B-spline {entry!r} has a scale that is "
+                              "not a finite positive number")
+        if len(key[0]) != p1 + 2 or len(key[1]) != p2 + 2:
+            raise FormatError(f"{path}: B-spline {entry!r} has the wrong "
+                              "local knot count for its degree")
+        for idx, n in ((key[0], nu), (key[1], nv)):
+            if not (0 <= idx[0] and idx[-1] < n and all(a <= b for a, b in zip(idx, idx[1:]))):
+                raise FormatError(f"{path}: B-spline {entry!r} indexes outside "
+                                  "the knot tables")
+            if idx[0] == idx[-1]:
+                raise FormatError(f"{path}: B-spline {entry!r} has an empty support")
+            if any(a == b and 0 < a < n - 1 for a, b in zip(idx, idx[1:])):
+                raise FormatError(f"{path}: B-spline {entry!r} repeats an interior "
+                                  "knot index")
+        if key in keys:
+            raise FormatError(f"{path}: duplicate B-spline {entry!r}")
+        keys.append(key)
+        scales.append(float(scale))
+        coeffs.append(float(coeff))
+    return keys, scales, coeffs
+
+
+def json_finite(x) -> bool:
+    return type(x) in (int, float) and abs(x) <= 1.7976931348623157e308
+
+
+#: ways to corrupt one B-spline entry in place, given the entry list, the
+#: entry's index, a direction and the knot table sizes
+ENTRY_CORRUPTIONS = {
+    "bool index": lambda bs, k, d, n, rng: set_index(bs[k][d], rng, bool(rng.integers(2))),
+    "float index": lambda bs, k, d, n, rng: set_index(bs[k][d], rng, float(bs[k][d][0])),
+    "nan coefficient": lambda bs, k, d, n, rng: bs[k].__setitem__(2, float("nan")),
+    "1e309 coefficient": lambda bs, k, d, n, rng: bs[k].__setitem__(2, float("1e309")),
+    "string coefficient": lambda bs, k, d, n, rng: bs[k].__setitem__(2, "1.0"),
+    "scale not positive": lambda bs, k, d, n, rng: bs[k].__setitem__(
+        3, [0.0, -0.0, -bs[k][3]][rng.integers(3)]),
+    "one knot too many": lambda bs, k, d, n, rng: bs[k][d].append(bs[k][d][-1]),
+    "one knot too few": lambda bs, k, d, n, rng: bs[k][d].pop(),
+    "index past the table": lambda bs, k, d, n, rng: bs[k][d].__setitem__(
+        -1, n[d] + int(rng.integers(3))),
+    "negative index": lambda bs, k, d, n, rng: bs[k][d].__setitem__(0, -1),
+    "unsorted index": lambda bs, k, d, n, rng: bs[k][d].reverse(),
+    "empty support": lambda bs, k, d, n, rng: bs[k].__setitem__(d, [bs[k][d][0]] * len(bs[k][d])),
+    "repeated interior index": lambda bs, k, d, n, rng: bs[k][d].__setitem__(
+        slice(1, 3), [bs[k][d][1]] * 2),
+    "duplicate entry": lambda bs, k, d, n, rng: bs.insert(
+        int(rng.integers(k + 1, len(bs) + 1)), copy.deepcopy(bs[k])),
+    "entry of three": lambda bs, k, d, n, rng: bs[k].pop(),
+    "knot row not a list": lambda bs, k, d, n, rng: bs[k].__setitem__(d, 5),
+}
+
+
+def set_index(loc, rng, value):
+    loc[int(rng.integers(len(loc)))] = value
+
+
+class TestEntryChecksAgainstPerEntryLoop:
+    """One entry of a stored benchmark document corrupted: the array passes
+    accept or reject it as the former per-entry loop does, naming the same
+    first bad entry with the same message."""
+
+    @pytest.mark.parametrize("name", ["dunes1_p2.lrb", "dunes1_p3.lrb"])
+    def test_one_corrupted_entry(self, name):
+        doc = json.loads((PERFBENCH / "data" / name).read_text())
+        args = doc["degrees"], (len(doc["knots_u"]), len(doc["knots_v"])), "doc"
+        rng = np.random.default_rng(500)
+        outcomes = Counter()
+        for kind, corrupt in sorted(ENTRY_CORRUPTIONS.items()) * 4:
+            bsplines = list(doc["bsplines"])
+            k = int(rng.integers(len(bsplines)))
+            bsplines[k] = copy.deepcopy(bsplines[k])
+            corrupt(bsplines, k, int(rng.integers(2)), args[1], rng)
+            results = []
+            for check in (lrfit.io._bspline_columns, per_entry_read_check):
+                try:
+                    results.append(check(bsplines, *args))
+                except FormatError as exc:
+                    results.append(str(exc))
+            got, expected = results
+            if isinstance(expected, str):
+                assert got == expected, kind
+            else:
+                keys, scales, coeffs = expected
+                ku, kv, scale, coeff = got
+                assert list(zip(map(tuple, ku.tolist()), map(tuple, kv.tolist()))) == keys
+                assert scale.tolist() == scales and coeff.tolist() == coeffs
+            outcomes["accepted" if not isinstance(expected, str) else kind] += 1
+        # every kind was rejected at least once
+        assert set(ENTRY_CORRUPTIONS) <= outcomes.keys(), outcomes
+
+    def test_stored_documents_accepted_alike(self):
+        for name in ("dunes1_p2.lrb", "dunes1_p3.lrb"):
+            doc = json.loads((PERFBENCH / "data" / name).read_text())
+            args = doc["degrees"], (len(doc["knots_u"]), len(doc["knots_v"])), "doc"
+            keys, scales, coeffs = per_entry_read_check(doc["bsplines"], *args)
+            space = read_surface(str(PERFBENCH / "data" / name)).space
+            assert space.keys_sorted() == keys
+            assert space.scale_array().tolist() == scales
+            assert space.coeff_array().tolist() == coeffs
+
+
+class TestReadSurfaceMemory:
+    """A read surface holds its B-spline store and the caches of the read
+    check, whose sorted view shares the store, but not the tuple index of the
+    split cascade: about 170 B (degree 2) and 190 B (degree 3) per B-spline,
+    where the tuple index would add about 370 B and a sorted copy of the
+    knot index rows 70-90 B.  Evaluating it keeps nothing but the heights."""
+
+    @pytest.mark.parametrize("name", ["dunes1_p2.lrb", "dunes1_p3.lrb"])
+    def test_bytes_per_bspline(self, name):
+        path = str(PERFBENCH / "data" / name)
+        read_surface(path)   # first-use allocations of numpy and the modules
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            surface = read_surface(path)
+            gc.collect()   # which also empties CPython's free lists of small objects
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert held <= 250 * len(surface.space)
+            cache = set(surface.space._cache)
+            rng = np.random.default_rng(3)
+            u0, u1, v0, v1 = surface.domain
+            x, y = rng.uniform(u0, u1, 20_000), rng.uniform(v0, v1, 20_000)
+            before = tracemalloc.get_traced_memory()[0]
+            z = surface.evaluate(x, y)
+            assert tracemalloc.get_traced_memory()[0] - before <= z.nbytes + 16_384
+        finally:
+            tracemalloc.stop()
+        assert set(surface.space._cache) == cache
+        assert surface.space._index is None
+        assert len(surface.space.bsplines) == len(surface.space)   # built on first use
 
 
 def indented_text(text: str) -> str:

@@ -314,6 +314,47 @@ def test_support_boxes_follow_keys(corpus50):
         assert sp.support_bounds().tolist() == [list(support_values(sp, k)) for k in keys]
 
 
+class TestAddBsplines:
+    """Columns added at once give the space that adding the same B-splines
+    one at a time gives.  A store in key order, as a read document fills it,
+    is its own sorted view: the view shares the store instead of copying it."""
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_same_space_as_one_at_a_time(self, corpus50, shuffled):
+        meshes, _ = corpus50
+        rng = np.random.default_rng(12)
+        for sp in meshes[:10]:
+            ku, kv = sp.knot_indices()
+            scale, coeff = sp.scale_array(), rng.normal(size=len(sp))
+            order = rng.permutation(len(sp)) if shuffled else np.arange(len(sp))
+            one, bulk = (LRSpace(sp.u, sp.v, sp.degrees) for _ in range(2))
+            for i in order.tolist():
+                one.add_bspline((tuple(ku[i].tolist()), tuple(kv[i].tolist())),
+                                scale[i], coeff[i])
+            bulk.add_bsplines(ku[order], kv[order], scale[order], coeff[order])
+            assert bulk._index is None
+            assert bulk.keys_sorted() == one.keys_sorted() == sp.keys_sorted()
+            assert bulk.bspline_ids().tolist() == one.bspline_ids().tolist()
+            for a, b in ((bulk.scale_array(), one.scale_array()),
+                         (bulk.coeff_array(), one.coeff_array()),
+                         (bulk.support_boxes(), one.support_boxes())):
+                assert a.tobytes() == b.tobytes()
+            assert bulk.bsplines == one.bsplines
+            assert np.shares_memory(bulk.knot_indices()[0], bulk._ku) == (not shuffled)
+
+    def test_sorted_view_outlives_a_remap(self, corpus50):
+        """A knot table remap writes new index arrays, so index rows taken
+        before it keep their values, as a copy would."""
+        sp = corpus50[0][3]
+        bulk = LRSpace(sp.u, sp.v, sp.degrees)
+        bulk.add_bsplines(*sp.knot_indices(), sp.scale_array(), sp.coeff_array())
+        held = bulk.knot_indices()
+        before = [k.copy() for k in held]
+        bulk.ensure_values(U, [0.5 * (sp.u[0] + sp.u[1])])
+        assert all(np.array_equal(a, b) for a, b in zip(held, before))
+        assert np.array_equal(bulk.knot_indices()[0], np.where(before[0] > 0, before[0] + 1, 0))
+
+
 # ----------------------------------------------------------------------
 # the coverage arrays against the former span-list meshline store
 

@@ -1,10 +1,15 @@
 """Surface evaluation, point assignment, accuracy ledgers, collocation."""
 
+import gc
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrfit.io import read_surface
 from lrfit.mesh import U, V, make_tensor_mesh
 from lrfit.surface import (AccuracyLedger, Collocation, DomainError, LRSurface,
                            PointCloud, approximation_efficiency, assign_points,
@@ -12,6 +17,8 @@ from lrfit.surface import (AccuracyLedger, Collocation, DomainError, LRSurface,
 
 from conftest import (local_knot_values, random_refined_space, tensor_eval_oracle,
                       uniform_tensor_space)
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def seeded_surface(seed, degrees=(2, 2), n_insertions=8):
@@ -111,6 +118,28 @@ class TestEvaluation:
             naive += (s * c * basis_value(tu, sp.degrees[0], uu, sp.u[-1])
                       * basis_value(tv, sp.degrees[1], vv, sp.v[-1]))
         assert np.abs(surf.evaluate(uu, vv) - naive).max() < 1e-12
+
+
+class TestEvaluatePeakMemory:
+    """``evaluate`` works in blocks of ``PAIR_BLOCK`` points: on a 500 x 500
+    grid its tracemalloc peak stays under 16 MB on both stored benchmark
+    documents, the 2 MB of heights included (one pass over all points at
+    once, or blocks four times larger, would exceed it)."""
+
+    @pytest.mark.parametrize("name", ["dunes1_p2.lrb", "dunes1_p3.lrb"])
+    def test_grid_peak(self, name):
+        surface = read_surface(str(DATA / name))
+        u0, u1, v0, v1 = surface.domain
+        uu, vv = np.meshgrid(np.linspace(u0, u1, 500), np.linspace(v0, v1, 500))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            surface.evaluate(uu, vv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestAssignment:
